@@ -148,14 +148,6 @@ fn bench_exact_solver(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_gomory_hu(c: &mut Criterion) {
-    use wsn_graph::GomoryHuTree;
-    let net = bench_graph(24, 48);
-    let edges: Vec<(usize, usize, f64)> =
-        net.links().iter().map(|l| (l.u().index(), l.v().index(), l.prr().value())).collect();
-    c.bench_function("gomory_hu_n24", |b| b.iter(|| black_box(GomoryHuTree::build(24, &edges))));
-}
-
 fn bench_wire_codec(c: &mut Criterion) {
     use wsn_proto::Message;
     let msg = Message::ParentChange {
@@ -205,7 +197,6 @@ criterion_group!(
     bench_mst_and_aaml,
     bench_round_sim,
     bench_exact_solver,
-    bench_gomory_hu,
     bench_wire_codec,
     bench_network_sim_announce,
 );

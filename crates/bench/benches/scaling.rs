@@ -54,26 +54,6 @@ fn bench_separation_scaling(c: &mut Criterion) {
     g.finish();
 }
 
-/// The ISSUE acceptance benchmark: the same seeded n = 80 random-graph
-/// instance solved by IRA with the warm-started incremental LP vs. the
-/// cold rebuild-every-round path. Warm must come out ≥ 3× faster.
-fn bench_warm_vs_cold_lp(c: &mut Criterion) {
-    use mrlc_core::IraConfig;
-    let mut g = c.benchmark_group("warm_vs_cold_lp_n80");
-    g.sample_size(10);
-    let net = bench_graph(80, 100 + 80);
-    let model = EnergyModel::PAPER;
-    let lc = lifetime::node_lifetime(3000.0, &model, 4) * 0.99;
-    let inst = MrlcInstance::new(net, model, lc).unwrap();
-    for (label, warm) in [("warm", true), ("cold", false)] {
-        let cfg = IraConfig { warm_lp: warm, ..IraConfig::default() };
-        g.bench_with_input(BenchmarkId::from_parameter(label), &inst, |b, inst| {
-            b.iter(|| black_box(mrlc_core::solve_ira(inst, &cfg).unwrap()))
-        });
-    }
-    g.finish();
-}
-
 /// One core, many benches: shorter measurement windows keep the full suite
 /// tractable while criterion still reports stable medians.
 fn quick_config() -> Criterion {
@@ -86,7 +66,6 @@ fn quick_config() -> Criterion {
 criterion_group!(
     name = scaling;
     config = quick_config();
-    targets = bench_ira_scaling, bench_aaml_scaling, bench_separation_scaling,
-        bench_warm_vs_cold_lp
+    targets = bench_ira_scaling, bench_aaml_scaling, bench_separation_scaling
 );
 criterion_main!(scaling);

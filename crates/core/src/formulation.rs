@@ -18,9 +18,7 @@
 //! caps to a vacuous right-hand side — no rebuild, no phase 1. Whenever a
 //! `solve` call is *not* a shrink of the previous one (new edges, new or
 //! changed caps, different `n`) the state is rebuilt transparently, so
-//! callers need no protocol. [`CutLp::new_cold`] restores the old
-//! rebuild-every-round behavior for comparison benchmarks; both paths
-//! produce optimal extreme points of the same polytope.
+//! callers need no protocol.
 //!
 //! # The cut-pool separation engine
 //!
@@ -46,7 +44,7 @@ use crate::separation::{
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::Duration;
-use wsn_lp::{FaultKind, IncrementalLp, LpProblem, LpStatus, Relation, RowId, SolveCtx, VarId};
+use wsn_lp::{FaultKind, IncrementalLp, LpStatus, Relation, RowId, SolveCtx, VarId};
 use wsn_obs::{Counter, Histogram};
 
 /// Safety valve on cutting-plane rounds (each round adds ≥ 1 new set, and
@@ -220,17 +218,15 @@ impl CutLpMetrics {
     }
 }
 
-/// Cutting-plane state. The cut pool and the oracle's scratch networks
-/// survive across IRA iterations (subtour cuts remain valid as
-/// edges/constraints are removed), and in warm mode so does the simplex
-/// basis itself.
+/// Cutting-plane state. The cut pool, the oracle's scratch networks and
+/// the simplex basis itself survive across IRA iterations (subtour cuts
+/// remain valid as edges/constraints are removed).
 #[derive(Clone, Debug)]
 pub struct CutLp {
     pool: CutPool,
     sep: SeparationConfig,
     oracle: SeedOracle,
     counters: SepCounters,
-    warm: bool,
     state: Option<WarmState>,
     metrics: CutLpMetrics,
     /// Budget/cancellation token (and fault injector). `None` — the
@@ -249,17 +245,11 @@ impl CutLp {
     /// Creates an empty cutting-plane state with warm starts and the
     /// batched cut-pool engine enabled.
     pub fn new() -> Self {
-        Self::with_config(true, SeparationConfig::default())
+        Self::with_separation(SeparationConfig::default())
     }
 
-    /// Creates a state that rebuilds the LP from scratch every round — the
-    /// pre-warm-start behavior, kept for benchmarks and equivalence tests.
-    pub fn new_cold() -> Self {
-        Self::with_config(false, SeparationConfig::default())
-    }
-
-    /// Creates a state with explicit warm-start and separation settings.
-    pub fn with_config(warm: bool, sep: SeparationConfig) -> Self {
+    /// Creates a warm-started state with explicit separation settings.
+    pub fn with_separation(sep: SeparationConfig) -> Self {
         let obs = wsn_obs::current_or_detached();
         let reg = obs.registry();
         CutLp {
@@ -267,7 +257,6 @@ impl CutLp {
             sep,
             oracle: SeedOracle::new(),
             counters: SepCounters::from_registry(reg),
-            warm,
             state: None,
             metrics: CutLpMetrics::from_registry(reg),
             ctx: None,
@@ -287,11 +276,6 @@ impl CutLp {
     /// The installed budget context, if any.
     pub fn ctx(&self) -> Option<&Arc<SolveCtx>> {
         self.ctx.as_ref()
-    }
-
-    /// Whether this instance reuses the simplex basis across solves.
-    pub fn is_warm(&self) -> bool {
-        self.warm
     }
 
     /// The separation settings this instance runs with.
@@ -371,14 +355,10 @@ impl CutLp {
         if n == 1 {
             return Ok(CutLpOutcome::Optimal { x: vec![], objective: 0.0 });
         }
-        if self.warm {
-            self.solve_warm(n, edges, caps)
-        } else {
-            self.solve_cold(n, edges, caps)
-        }
+        self.solve_warm(n, edges, caps)
     }
 
-    // ---- separation round (shared by warm and cold paths) -------------
+    // ---- separation round ---------------------------------------------
 
     /// One separation step against the fractional point `frac`: screen the
     /// pool, then consult the oracle; activate the round's batch. Returns
@@ -536,9 +516,9 @@ impl CutLp {
         (internal.len() >= set.len()).then_some((internal, set.len() as f64 - 1.0))
     }
 
-    /// Builds a fresh incremental tableau for the given instance,
-    /// materializing the pool's activated cuts.
-    fn build_state(&mut self, n: usize, edges: &[LpEdge], caps: &[(usize, f64)]) -> WarmState {
+    /// Builds a fresh incremental tableau for the given instance (without
+    /// the pool's cuts; [`Self::materialize_pending`] appends those).
+    fn build_state(&self, n: usize, edges: &[LpEdge], caps: &[(usize, f64)]) -> WarmState {
         let mut lp = IncrementalLp::new();
         lp.set_ctx(self.ctx.clone());
         let mut vars = BTreeMap::new();
@@ -571,18 +551,7 @@ impl CutLp {
             active_caps.insert(node);
         }
 
-        let mut state = WarmState { lp, n, vars, active, cap_rows, active_caps, subtour_rows: 0 };
-        let mut rows = Vec::new();
-        while state.subtour_rows < self.pool.active_count() {
-            if let Some(row) =
-                Self::subtour_row(&state.vars, self.pool.active_set(state.subtour_rows))
-            {
-                rows.push(row);
-            }
-            state.subtour_rows += 1;
-        }
-        state.lp.append_le_rows(&rows);
-        state
+        WarmState { lp, n, vars, active, cap_rows, active_caps, subtour_rows: 0 }
     }
 
     /// Appends tableau rows for pool cuts activated since the last
@@ -627,11 +596,10 @@ impl CutLp {
                 state.active_caps.remove(&node);
             }
             self.state = Some(state);
-            self.materialize_pending();
         } else {
-            let state = self.build_state(n, edges, caps);
-            self.state = Some(state);
+            self.state = Some(self.build_state(n, edges, caps));
         }
+        self.materialize_pending();
 
         for round in 0..MAX_CUT_ROUNDS {
             if let Some(ctx) = &self.ctx {
@@ -680,120 +648,6 @@ impl CutLp {
                 return Ok(CutLpOutcome::Optimal { x, objective: sol.objective });
             }
             self.materialize_pending();
-        }
-        Err(CutLpError::CutRoundLimit)
-    }
-
-    // ---- cold path (rebuilds the LP each round) -----------------------
-
-    fn solve_cold(
-        &mut self,
-        n: usize,
-        edges: &[LpEdge],
-        caps: &[(usize, f64)],
-    ) -> Result<CutLpOutcome, CutLpError> {
-        // Incident-edge index per capped node, hoisted out of the round
-        // loop: the edge set is fixed for the whole call.
-        let cap_incident: Vec<(usize, f64, Vec<usize>)> = caps
-            .iter()
-            .map(|&(node, beta)| {
-                let inc: Vec<usize> = edges
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, e)| e.u == node || e.v == node)
-                    .map(|(i, _)| i)
-                    .collect();
-                (node, beta, inc)
-            })
-            .collect();
-
-        for round in 0..MAX_CUT_ROUNDS {
-            if let Some(ctx) = &self.ctx {
-                if ctx.is_cancelled() || ctx.is_expired() || ctx.round_cap_hit(round as u64) {
-                    return Err(CutLpError::Interrupted);
-                }
-            }
-            let mut lp = LpProblem::new();
-            let vars: Vec<VarId> = edges.iter().map(|e| lp.add_unit_var(e.cost)).collect();
-
-            // Eq. 14: x(E(V)) = |V| − 1.
-            let all: Vec<(VarId, f64)> = vars.iter().map(|&v| (v, 1.0)).collect();
-            lp.add_constraint(&all, Relation::Eq, n as f64 - 1.0);
-
-            // Eq. 15 as degree caps: x(δ(v)) ≤ β_v.
-            for (_, beta, inc) in &cap_incident {
-                // A cap at or above the incident count is vacuous.
-                if inc.is_empty() || *beta >= inc.len() as f64 - 1e-12 {
-                    continue;
-                }
-                let incident: Vec<(VarId, f64)> = inc.iter().map(|&i| (vars[i], 1.0)).collect();
-                lp.add_constraint(&incident, Relation::Le, *beta);
-            }
-
-            // Eq. 13 for the pool's activated cuts.
-            for i in 0..self.pool.active_count() {
-                let set = self.pool.active_set(i);
-                let member = |v: usize| set.binary_search(&v).is_ok();
-                let internal: Vec<(VarId, f64)> = edges
-                    .iter()
-                    .zip(&vars)
-                    .filter(|(e, _)| member(e.u) && member(e.v))
-                    .map(|(_, &v)| (v, 1.0))
-                    .collect();
-                if internal.len() >= set.len() {
-                    lp.add_constraint(&internal, Relation::Le, set.len() as f64 - 1.0);
-                }
-            }
-
-            if let Some(ctx) = &self.ctx {
-                if ctx.poll_fault(FaultKind::PoisonCut) {
-                    // The cold path rebuilds through the validating model
-                    // builder, which rejects non-finite rows at insertion;
-                    // the injected poison therefore surfaces directly as
-                    // the sentinel's typed error.
-                    if let Some(obs) = wsn_obs::current() {
-                        obs.registry().counter("sep.fault.poison_cut").inc();
-                    }
-                    return Err(CutLpError::Lp(wsn_lp::LpError::Numerical));
-                }
-            }
-            self.metrics.lp_solves.inc();
-            self.metrics.cut_rounds.inc();
-            let lp_start = std::time::Instant::now();
-            let sol = {
-                let _span = wsn_obs::span_with("lp-solve", vec![wsn_obs::field("round", round)]);
-                wsn_lp::solve_with_ctx(&lp, self.ctx.as_deref()).map_err(lift)?
-            };
-            let lp_elapsed = lp_start.elapsed();
-            self.metrics.lp_ns.add(lp_elapsed.as_nanos() as u64);
-            self.metrics.round_lp_us.observe(lp_elapsed.as_micros() as u64);
-            self.metrics.round_pivots.observe(sol.iterations as u64);
-            self.metrics.pivots.add(sol.iterations as u64);
-            match sol.status {
-                LpStatus::Infeasible => return Ok(CutLpOutcome::Infeasible),
-                LpStatus::Unbounded => {
-                    // Box-bounded variables cannot make the model genuinely
-                    // unbounded; an unbounded verdict means the tableau data
-                    // went non-finite past what the sentinels could repair.
-                    if let Some(obs) = wsn_obs::current() {
-                        obs.registry().counter("lp.sentinel.unbounded_verdict").inc();
-                    }
-                    return Err(CutLpError::Lp(wsn_lp::LpError::Numerical));
-                }
-                LpStatus::Optimal => {}
-            }
-
-            let frac: Vec<FracEdge> =
-                edges.iter().zip(&sol.x).map(|(e, &x)| FracEdge { u: e.u, v: e.v, x }).collect();
-            let sep_start = std::time::Instant::now();
-            let added = {
-                let _span = wsn_obs::span_with("separation", vec![wsn_obs::field("round", round)]);
-                self.separate_round(n, &frac, round)?
-            };
-            self.metrics.sep_ns.add(sep_start.elapsed().as_nanos() as u64);
-            if added == 0 {
-                return Ok(CutLpOutcome::Optimal { x: sol.x, objective: sol.objective });
-            }
         }
         Err(CutLpError::CutRoundLimit)
     }
@@ -955,17 +809,19 @@ mod tests {
         assert_eq!(cut.cuts_added(), cuts_after_first);
     }
 
-    /// Runs the same solve on a warm and a cold instance and checks the
-    /// outcomes agree (objective within 1e-6, both feasible or both not).
+    /// Runs the same solve on the reused instance `warm` and on a cold
+    /// (fresh) instance that builds its tableau from scratch, and checks
+    /// the outcomes agree (objective within 1e-6, both feasible or both
+    /// not). A shrink call on `warm` thus exercises the bound/rhs mutation
+    /// path against the from-scratch build.
     fn assert_warm_matches_cold(
         warm: &mut CutLp,
-        cold: &mut CutLp,
         n: usize,
         edges: &[LpEdge],
         caps: &[(usize, f64)],
     ) {
         let a = warm.solve(n, edges, caps).unwrap();
-        let b = cold.solve(n, edges, caps).unwrap();
+        let b = CutLp::new().solve(n, edges, caps).unwrap();
         match (a, b) {
             (
                 CutLpOutcome::Optimal { objective: oa, x },
@@ -983,25 +839,23 @@ mod tests {
     #[test]
     fn warm_matches_cold_on_shrinking_sequence() {
         // Emulates IRA: same node set, monotonically shrinking edge and cap
-        // sets. The warm path must track the cold path at every step while
-        // actually reusing its basis.
+        // sets. The reused instance must track a fresh one at every step
+        // while actually reusing its basis.
         let edges = k5();
         let caps_full = vec![(0usize, 2.0f64), (1, 3.0), (2, 2.0)];
         let mut warm = CutLp::new();
-        let mut cold = CutLp::new_cold();
-        assert!(warm.is_warm() && !cold.is_warm());
-        assert_warm_matches_cold(&mut warm, &mut cold, 5, &edges, &caps_full);
+        assert_warm_matches_cold(&mut warm, 5, &edges, &caps_full);
 
         // Drop two edges (keep connectivity) and one cap.
         let shrunk: Vec<LpEdge> =
             edges.iter().filter(|e| e.tag != 1 && e.tag != 7).copied().collect();
         let caps_less = vec![(0usize, 2.0f64), (2, 2.0)];
-        assert_warm_matches_cold(&mut warm, &mut cold, 5, &shrunk, &caps_less);
+        assert_warm_matches_cold(&mut warm, 5, &shrunk, &caps_less);
 
         // Drop everything but a spanning structure and all caps.
         let smaller: Vec<LpEdge> =
             shrunk.iter().filter(|e| e.tag != 2 && e.tag != 8).copied().collect();
-        assert_warm_matches_cold(&mut warm, &mut cold, 5, &smaller, &[]);
+        assert_warm_matches_cold(&mut warm, 5, &smaller, &[]);
     }
 
     #[test]
@@ -1018,21 +872,19 @@ mod tests {
             lpe(2, 3, 5.0, 6),
         ];
         let mut warm = CutLp::new();
-        let mut cold = CutLp::new_cold();
-        assert_warm_matches_cold(&mut warm, &mut cold, 6, &edges, &[]);
+        assert_warm_matches_cold(&mut warm, 6, &edges, &[]);
         assert!(warm.cuts_added() > 0);
         // Re-solve after dropping one triangle edge: cuts carry over and
         // the basis survives.
         let shrunk: Vec<LpEdge> = edges.iter().filter(|e| e.tag != 2).copied().collect();
-        assert_warm_matches_cold(&mut warm, &mut cold, 6, &shrunk, &[]);
+        assert_warm_matches_cold(&mut warm, 6, &shrunk, &[]);
     }
 
     #[test]
     fn warm_detects_infeasible_like_cold() {
         let edges = vec![lpe(0, 1, 1.0, 0), lpe(1, 2, 1.0, 1)];
         let mut warm = CutLp::new();
-        let mut cold = CutLp::new_cold();
-        assert_warm_matches_cold(&mut warm, &mut cold, 3, &edges, &[(1, 1.5)]);
+        assert_warm_matches_cold(&mut warm, 3, &edges, &[(1, 1.5)]);
     }
 
     #[test]
@@ -1121,7 +973,7 @@ mod tests {
         // rather than a fresh maxflow run.
         let edges = three_triangles();
         let sep = SeparationConfig { max_cuts_per_round: 1, ..SeparationConfig::default() };
-        let mut cut = CutLp::with_config(true, sep);
+        let mut cut = CutLp::with_separation(sep);
         let CutLpOutcome::Optimal { x, .. } = cut.solve(9, &edges, &[]).unwrap() else { panic!() };
         assert_integral_tree(9, &edges, &x);
         assert!(cut.pool_scans() >= 1, "rounds after the first parked cut must screen");
@@ -1137,7 +989,7 @@ mod tests {
         // many cut rounds.
         let edges = three_triangles();
         let mut batched = CutLp::new();
-        let mut single = CutLp::with_config(true, SeparationConfig::single_cut());
+        let mut single = CutLp::with_separation(SeparationConfig::single_cut());
         let CutLpOutcome::Optimal { objective: ob, x: xb } = batched.solve(9, &edges, &[]).unwrap()
         else {
             panic!()

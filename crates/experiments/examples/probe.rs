@@ -32,7 +32,7 @@ fn main() {
     let run = |label: &str, sep: SeparationConfig| {
         let obs = wsn_obs::Obs::detached();
         let _g = wsn_obs::install(obs.clone());
-        let cfg = IraConfig { warm_lp: true, separation: sep, ..IraConfig::default() };
+        let cfg = IraConfig { separation: sep, ..IraConfig::default() };
         let t = Instant::now();
         let sol = solve_ira(&inst, &cfg).expect("solves");
         let wall = t.elapsed().as_secs_f64() * 1e3;

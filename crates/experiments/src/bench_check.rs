@@ -741,11 +741,16 @@ mod tests {
 
     #[test]
     fn v3_files_without_storm_blocks_still_check() {
-        let b = doc(&case("rand-20", 20, (5, 100, 6, 10.0), ""));
+        // Older baselines (the committed BENCH_ira.json among them) still
+        // carry the retired cold-LP `cold` block and `speedup` ratio.
+        let cold_extra = ", \"cold\": {\"wall_ms\": 40.0, \"lp_solves\": 5, \"pivots\": 900, \
+                          \"cut_rounds\": 6}, \"speedup\": 4.00";
+        let b = doc(&case("rand-20", 20, (5, 100, 6, 10.0), cold_extra));
         let report = check(&b, &b);
         assert!(report.passed(), "{:?}", report.failures);
         assert!(report.lines.iter().any(|l| l.contains("no storm block")));
-        // v3 baseline, v4 current: the invariants gate on the current file.
+        // v3 baseline, v4 current without the cold fields: the invariants
+        // gate on the current file and the old cold copies are ignored.
         let c = doc_with_storm(
             &case("rand-20", 20, (5, 100, 6, 10.0), ""),
             &storm(150, 100.0, 10.0, true, true),
@@ -753,6 +758,8 @@ mod tests {
         let report = check(&b, &c);
         assert!(report.passed(), "{:?}", report.failures);
         assert!(report.lines.iter().any(|l| l.contains("no baseline storm")));
+        assert!(report.lines.iter().chain(&report.failures).all(|l| !l.contains("cold")));
+        assert!(trend(&b, &c, &[]).passed());
     }
 
     /// A case with the per-stage wall breakdown the trend tracks.

@@ -4,15 +4,14 @@
 //! plus random graphs at n ∈ {20, 40, 80, 160, 320}) and records wall
 //! time, LP solves, simplex pivots, cutting-plane rounds, separation time
 //! and the cut-pool engine's counters per case — for the warm-started
-//! batched engine and, where tractable, two comparison paths: the cold
-//! rebuild-every-round solver and the single-cut-per-round separation
-//! baseline (`SeparationConfig::single_cut`). The JSON file is the
+//! batched engine and, where tractable, the single-cut-per-round
+//! separation baseline (`SeparationConfig::single_cut`). The JSON file is the
 //! machine-readable perf trajectory CI and humans diff across commits
 //! (see `bench-check`); the rendered table is the human-readable snapshot.
 //!
-//! Every comparison path must decode the **same tree** as the engine path
-//! (distinct seeded costs ⇒ unique LP optimum); `same_tree` records that
-//! check per case so a perf win can never silently change answers.
+//! The baseline must decode the **same tree** as the engine path (distinct
+//! seeded costs ⇒ unique LP optimum); `same_tree` records that check per
+//! case so a perf win can never silently change answers.
 //!
 //! The vendored `serde` stub has no real serialization, so the JSON is
 //! hand-rolled — the schema is documented in DESIGN.md §8.
@@ -31,10 +30,6 @@ use wsn_testbed::{dfl_network, random_graph, DflConfig, RandomGraphConfig};
 pub struct Config {
     /// Smoke mode: DFL-16 plus the n = 20 rung only (CI-speed).
     pub smoke: bool,
-    /// Run the cold comparison up to this node count (the cold path's
-    /// dense rebuilds grow fast; beyond this only warm numbers are
-    /// recorded and `cold` is `null` in the JSON).
-    pub cold_up_to: usize,
     /// Run the single-cut separation baseline up to this node count (one
     /// cut round per violated set makes it the slowest path at scale).
     pub single_up_to: usize,
@@ -42,7 +37,7 @@ pub struct Config {
 
 impl Default for Config {
     fn default() -> Self {
-        Config { smoke: false, cold_up_to: 80, single_up_to: 160 }
+        Config { smoke: false, single_up_to: 160 }
     }
 }
 
@@ -83,8 +78,8 @@ pub struct PathStats {
     pub seeds_pruned: usize,
 }
 
-/// The solution fingerprint used to prove paths agree: parent vector plus
-/// the paper's two tree metrics.
+/// The solution fingerprint used to prove the paths agree: parent vector
+/// plus the paper's two tree metrics.
 #[derive(Clone, Debug, PartialEq)]
 struct TreeSig {
     parents: Vec<Option<usize>>,
@@ -94,11 +89,8 @@ struct TreeSig {
 
 impl TreeSig {
     fn matches(&self, other: &TreeSig) -> bool {
-        self.parents == other.parents && self.metrics_match(other)
-    }
-
-    fn metrics_match(&self, other: &TreeSig) -> bool {
-        (self.reliability - other.reliability).abs() < 1e-9
+        self.parents == other.parents
+            && (self.reliability - other.reliability).abs() < 1e-9
             && (self.lifetime - other.lifetime).abs() < 1e-9
     }
 }
@@ -114,22 +106,14 @@ pub struct CaseResult {
     pub m: usize,
     /// Warm-started batched-engine counters (the production path).
     pub warm: PathStats,
-    /// Cold rebuild-every-round counters (skipped above `cold_up_to`).
-    pub cold: Option<PathStats>,
     /// Single-cut separation baseline (skipped above `single_up_to`).
     pub single: Option<PathStats>,
-    /// True when every comparison path that ran agreed with the engine
-    /// path: identical Q(T)/L(T) everywhere, and identical parent vectors
-    /// for the single-cut baseline (which shares the warm tableau).
+    /// True unless the single-cut baseline ran and decoded a different
+    /// tree (parent vector or Q(T)/L(T)) than the engine path.
     pub same_tree: bool,
 }
 
 impl CaseResult {
-    /// Cold/warm wall-time ratio, when both ran.
-    pub fn speedup(&self) -> Option<f64> {
-        self.cold.map(|c| c.wall_ms / self.warm.wall_ms.max(1e-9))
-    }
-
     /// Single-cut/engine wall-time ratio, when the baseline ran.
     pub fn single_speedup(&self) -> Option<f64> {
         self.single.map(|s| s.wall_ms / self.warm.wall_ms.max(1e-9))
@@ -142,13 +126,13 @@ impl CaseResult {
     }
 }
 
-fn run_path(inst: &MrlcInstance, warm: bool, sep: SeparationConfig) -> (PathStats, TreeSig) {
+fn run_path(inst: &MrlcInstance, sep: SeparationConfig) -> (PathStats, TreeSig) {
     // A private metrics-only registry per path run: the per-stage
     // breakdown comes from the same counters the whole pipeline publishes,
     // with no figure-style hand-threading of timings.
     let obs = wsn_obs::Obs::detached();
     let _ambient = wsn_obs::install(obs.clone());
-    let cfg = IraConfig { warm_lp: warm, separation: sep, ..IraConfig::default() };
+    let cfg = IraConfig { separation: sep, ..IraConfig::default() };
     let start = Instant::now();
     let sol = solve_ira(inst, &cfg).expect("bench instance solves");
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
@@ -177,34 +161,18 @@ fn run_path(inst: &MrlcInstance, warm: bool, sep: SeparationConfig) -> (PathStat
     (stats, sig)
 }
 
-fn run_case(
-    name: &str,
-    net: wsn_model::Network,
-    lc: f64,
-    with_cold: bool,
-    with_single: bool,
-) -> CaseResult {
+fn run_case(name: &str, net: wsn_model::Network, lc: f64, with_single: bool) -> CaseResult {
     let n = net.n();
     let m = net.num_edges();
     let inst = MrlcInstance::new(net, EnergyModel::PAPER, lc).expect("valid instance");
-    let (warm, warm_sig) = run_path(&inst, true, SeparationConfig::default());
+    let (warm, warm_sig) = run_path(&inst, SeparationConfig::default());
     let mut same_tree = true;
-    let cold = with_cold.then(|| {
-        let (stats, sig) = run_path(&inst, false, SeparationConfig::default());
-        // Warm and cold tableaus may break exact cost ties differently on
-        // quantized instances (DFL-16 has duplicate PRRs), so the cold
-        // comparison is held to metric equality; the single-cut baseline
-        // below shares the warm tableau and must reproduce the tree
-        // exactly.
-        same_tree &= sig.metrics_match(&warm_sig);
-        stats
-    });
     let single = with_single.then(|| {
-        let (stats, sig) = run_path(&inst, true, SeparationConfig::single_cut());
+        let (stats, sig) = run_path(&inst, SeparationConfig::single_cut());
         same_tree &= sig.matches(&warm_sig);
         stats
     });
-    CaseResult { name: name.to_string(), n, m, warm, cold, single, same_tree }
+    CaseResult { name: name.to_string(), n, m, warm, single, same_tree }
 }
 
 /// Everything one bench-perf invocation measures: the solver ladder plus
@@ -237,7 +205,7 @@ pub fn run_cases(config: &Config) -> Vec<CaseResult> {
     let mut cases = Vec::new();
     let dfl =
         dfl_network(&DflConfig::default(), &LinkModel::default(), 2015).expect("DFL is connected");
-    cases.push(run_case("dfl-16", dfl, lc, true, true));
+    cases.push(run_case("dfl-16", dfl, lc, true));
 
     let rungs: &[usize] = if config.smoke { &[20] } else { &[20, 40, 80, 160, 320] };
     for &n in rungs {
@@ -251,13 +219,7 @@ pub fn run_cases(config: &Config) -> Vec<CaseResult> {
         let gcfg = RandomGraphConfig { n, link_probability: p, ..RandomGraphConfig::default() };
         let mut rng = StdRng::seed_from_u64(4242 + n as u64);
         let net = random_graph(&gcfg, &mut rng).expect("connected bench instance");
-        cases.push(run_case(
-            &format!("rand-{n}"),
-            net,
-            lc,
-            n <= config.cold_up_to,
-            n <= config.single_up_to,
-        ));
+        cases.push(run_case(&format!("rand-{n}"), net, lc, n <= config.single_up_to));
     }
     cases
 }
@@ -293,24 +255,22 @@ fn json_ratio(r: Option<f64>) -> String {
 /// `no_leaked_workers` invariants. Version 3 added the cut-pool engine
 /// counters (`pool_hits`, `pool_scans`, `cuts_batched`, `seeds_pruned`)
 /// per path, the `single` baseline block with its `single_speedup` /
-/// `round_ratio` comparisons, and the `same_tree` answer-identity check;
-/// every older field is kept so existing diff tooling keeps working.
+/// `round_ratio` comparisons, and the `same_tree` answer-identity check.
+/// The retired cold-LP fields (`cold`, `speedup`) are no longer written;
+/// `bench-check` ignores them in older files.
 pub fn to_json(results: &BenchResults, smoke: bool) -> String {
     let cases = &results.cases;
     let mut out = String::from("{\n  \"suite\": \"bench-perf\",\n  \"schema_version\": 4,\n");
     out.push_str(&format!("  \"smoke\": {smoke},\n  \"cases\": [\n"));
     for (i, c) in cases.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"n\": {}, \"m\": {}, \"warm\": {}, \"cold\": {}, \
-             \"single\": {}, \"speedup\": {}, \"single_speedup\": {}, \"round_ratio\": {}, \
-             \"same_tree\": {}}}{}\n",
+            "    {{\"name\": \"{}\", \"n\": {}, \"m\": {}, \"warm\": {}, \"single\": {}, \
+             \"single_speedup\": {}, \"round_ratio\": {}, \"same_tree\": {}}}{}\n",
             c.name,
             c.n,
             c.m,
             json_path(&c.warm),
-            c.cold.as_ref().map_or("null".to_string(), json_path),
             c.single.as_ref().map_or("null".to_string(), json_path),
-            json_ratio(c.speedup()),
             json_ratio(c.single_speedup()),
             json_ratio(c.round_ratio()),
             c.same_tree,
@@ -334,7 +294,6 @@ pub fn render_cases(cases: &[CaseResult]) -> String {
         "n",
         "m",
         "warm ms",
-        "cold ms",
         "1-cut ms",
         "vs 1-cut",
         "rounds",
@@ -350,7 +309,6 @@ pub fn render_cases(cases: &[CaseResult]) -> String {
             c.n.to_string(),
             c.m.to_string(),
             f(c.warm.wall_ms, 1),
-            c.cold.map_or("-".into(), |p| f(p.wall_ms, 1)),
             c.single.map_or("-".into(), |p| f(p.wall_ms, 1)),
             c.single_speedup().map_or("-".into(), |s| format!("{s:.2}x")),
             c.warm.cut_rounds.to_string(),
@@ -382,9 +340,8 @@ mod tests {
             assert!(c.warm.pivots > 0);
             assert!(c.warm.lp_ms > 0.0, "registry-backed LP stage timing is populated");
             assert!(c.warm.lp_ms <= c.warm.wall_ms, "a stage cannot exceed the whole");
-            assert!(c.cold.is_some(), "smoke rungs are all below cold_up_to");
             assert!(c.single.is_some(), "smoke rungs are all below single_up_to");
-            assert!(c.same_tree, "{}: all paths must decode the same tree", c.name);
+            assert!(c.same_tree, "{}: both paths must decode the same tree", c.name);
             let single = c.single.unwrap();
             assert!(single.cut_rounds >= c.warm.cut_rounds, "batching cannot add rounds");
             assert_eq!(single.pool_hits, 0, "the baseline never consults the pool");

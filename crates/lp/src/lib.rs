@@ -7,18 +7,18 @@
 //! ecosystem does not offer a pure-Rust simplex with that guarantee, so this
 //! crate implements one from scratch:
 //!
+//! * [`IncrementalLp`], the warm-started bounded-variable simplex that
+//!   production runs: IRA's cutting-plane loop appends subtour rows and
+//!   tightens bounds on one standing tableau, repairing with dual pivots;
 //! * a model builder ([`LpProblem`]) for `min cᵀx` subject to
-//!   `Ax {≤,=,≥} b` and box bounds `l ≤ x ≤ u`;
-//! * a dense **two-phase primal simplex with bounded variables**
-//!   ([`simplex`]): nonbasic variables sit at either bound, the ratio test
-//!   handles bound flips, and Bland's rule kicks in after prolonged
-//!   degeneracy so the algorithm terminates;
+//!   `Ax {≤,=,≥} b` and box bounds `l ≤ x ≤ u`, solved by
+//!   [`LpProblem::solve`] with a dense **two-phase primal simplex with
+//!   bounded variables** ([`simplex`]). It is the reference oracle the
+//!   incremental engine is tested against: nonbasic variables sit at
+//!   either bound, the ratio test handles bound flips, and Bland's rule
+//!   kicks in after prolonged degeneracy so the algorithm terminates;
 //! * solutions are always **basic** — exactly the extreme points Lemma 1's
 //!   integrality argument needs.
-//!
-//! Problem sizes here are modest (≲ a few thousand columns), so a dense
-//! tableau is the right trade-off: simple, cache-friendly, and easy to
-//! verify.
 //!
 //! # Example
 //!
@@ -46,4 +46,4 @@ pub mod simplex;
 pub use budget::{FaultKind, SolveBudget, SolveCtx, FAULT_KINDS};
 pub use incremental::{IncrementalLp, RowId};
 pub use problem::{LpProblem, Relation, VarId};
-pub use simplex::{solve_with_ctx, LpError, LpSolution, LpStatus};
+pub use simplex::{LpError, LpSolution, LpStatus};
