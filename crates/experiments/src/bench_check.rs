@@ -1,17 +1,19 @@
-//! `bench-check` — CI gate over two `BENCH_ira.json` files.
+//! `bench-check` — the CI perf gate over two `BENCH_ira.json` files.
 //!
 //! Compares a freshly generated bench-perf run against the committed
-//! baseline and fails on regressions:
+//! baseline, gives every tracked metric a typed [`Verdict`], and fails on
+//! regressions:
 //!
 //! - **Deterministic counters** (`lp_solves`, `pivots`, `cut_rounds` of the
 //!   warm engine path) are seeded and machine-independent, so any growth
 //!   beyond 25% over the baseline is a hard failure — a real algorithmic
 //!   regression, not noise.
-//! - **Wall time** varies with the host, so it only warns — unless the
-//!   current run is over 4× the baseline, which no shared-runner jitter
-//!   explains. Cases whose baseline wall is under a few tens of
-//!   milliseconds never fail on ratio alone: scheduler jitter can exceed
-//!   4× of a ~1 ms case.
+//! - **Wall times** (`wall_ms` and the `lp_ms` / `sep_ms` / `decode_ms`
+//!   stage breakdown, so a regression points at the stage that moved) vary
+//!   with the host, so they only regress softly — unless the current run is
+//!   over 4× the baseline, which no shared-runner jitter explains. Cases
+//!   whose baseline wall is under a few tens of milliseconds never fail on
+//!   ratio alone: scheduler jitter can exceed 4× of a ~1 ms case.
 //! - **Answer identity**: every case must report `same_tree: true`.
 //! - **Acceptance floor** (evaluated on the current file alone): every
 //!   case at n ≥ 160 whose single-cut baseline ran must show the engine
@@ -20,20 +22,23 @@
 //! - **Storm rung** (schema 4): the current `storm` block's `all_typed`
 //!   and `no_leaked_workers` invariants are hard failures — a request that
 //!   hung or a worker thread that leaked is a service bug regardless of
-//!   the host. Throughput and p99 compare against the baseline storm only
+//!   the host. p99 and throughput compare against the baseline storm only
 //!   when both ran the same request count (a smoke run against a full
-//!   baseline skips with a note) and warn rather than fail, like wall
-//!   time, unless the tail blows past the gross ratio.
+//!   baseline skips with a note). p99 follows the wall rule; throughput
+//!   fails at any rate once it is over 4× slower.
+//! - **History** (optional): deterministic counters that drifted above the
+//!   median of prior runs are noted, never failed.
 //!
-//! Cases present in only one file are reported but not failed, so the
-//! ladder can grow without invalidating old baselines.
+//! Cases present in only one file are noted but not failed, so the ladder
+//! can grow without invalidating old baselines.
 
 use wsn_obs::json::{parse, Json};
 
 /// Growth in a deterministic counter beyond this ratio fails the check.
 const COUNTER_TOLERANCE: f64 = 1.25;
 
-/// Wall-clock growth beyond this ratio fails even on noisy runners.
+/// Wall-clock growth (or throughput loss) beyond this ratio fails even on
+/// noisy runners.
 const WALL_GROSS_RATIO: f64 = 4.0;
 
 /// Below this baseline wall time the gross ratio never fails — a few
@@ -52,207 +57,15 @@ const MIN_SINGLE_SPEEDUP: f64 = 2.0;
 /// Node count from which the acceptance floor applies.
 const ACCEPTANCE_N: f64 = 160.0;
 
-/// Outcome of the comparison.
-#[derive(Clone, Debug)]
-pub struct CheckReport {
-    /// Human-readable findings, one per line.
-    pub lines: Vec<String>,
-    /// Hard failures (non-empty fails the command).
-    pub failures: Vec<String>,
-}
+/// Per-case metrics under the `warm` block: deterministic counters, then
+/// the total and per-stage walls.
+const COUNTERS: [&str; 3] = ["lp_solves", "pivots", "cut_rounds"];
+const WALLS: [&str; 4] = ["wall_ms", "lp_ms", "sep_ms", "decode_ms"];
 
-impl CheckReport {
-    /// True when no hard failure was found.
-    pub fn passed(&self) -> bool {
-        self.failures.is_empty()
-    }
+/// Rolling-history cap: [`run`] keeps this many most-recent runs.
+const HISTORY_CAP: usize = 20;
 
-    /// Renders the report, failures last.
-    pub fn render(&self) -> String {
-        let mut out = String::from("bench-check — current run vs committed baseline\n");
-        for l in &self.lines {
-            out.push_str("  ");
-            out.push_str(l);
-            out.push('\n');
-        }
-        if self.failures.is_empty() {
-            out.push_str("PASS\n");
-        } else {
-            for f in &self.failures {
-                out.push_str("FAIL: ");
-                out.push_str(f);
-                out.push('\n');
-            }
-        }
-        out
-    }
-}
-
-fn counter(case: &Json, path: &str, field: &str) -> Option<f64> {
-    case.get(path)?.get(field)?.as_f64()
-}
-
-fn case_name(case: &Json) -> &str {
-    case.get("name").and_then(Json::as_str).unwrap_or("?")
-}
-
-fn cases(doc: &Json) -> Vec<&Json> {
-    doc.get("cases").and_then(Json::as_arr).map(|a| a.iter().collect()).unwrap_or_default()
-}
-
-/// Compares a current bench document against a baseline document.
-pub fn check(baseline: &Json, current: &Json) -> CheckReport {
-    let mut report = CheckReport { lines: Vec::new(), failures: Vec::new() };
-    let base_cases = cases(baseline);
-    let cur_cases = cases(current);
-    if cur_cases.is_empty() {
-        report.failures.push("current file has no cases".to_string());
-        return report;
-    }
-
-    for cur in &cur_cases {
-        let name = case_name(cur);
-        let Some(base) = base_cases.iter().find(|b| case_name(b) == name) else {
-            report.lines.push(format!("{name}: new case, no baseline (skipped)"));
-            continue;
-        };
-
-        // Deterministic warm-path counters: hard gate.
-        for field in ["lp_solves", "pivots", "cut_rounds"] {
-            match (counter(base, "warm", field), counter(cur, "warm", field)) {
-                (Some(b), Some(c)) if b > 0.0 && c > b * COUNTER_TOLERANCE => {
-                    report.failures.push(format!(
-                        "{name}: warm.{field} regressed {b:.0} -> {c:.0} \
-                         (limit {:.0})",
-                        b * COUNTER_TOLERANCE
-                    ));
-                }
-                (Some(b), Some(c)) => {
-                    report.lines.push(format!("{name}: warm.{field} {b:.0} -> {c:.0} ok"));
-                }
-                _ => {
-                    report.lines.push(format!("{name}: warm.{field} missing (skipped)"));
-                }
-            }
-        }
-
-        // Wall clock: warn-only within the gross ratio.
-        if let (Some(b), Some(c)) =
-            (counter(base, "warm", "wall_ms"), counter(cur, "warm", "wall_ms"))
-        {
-            let ratio = if b > 0.0 { c / b } else { 1.0 };
-            if ratio > WALL_GROSS_RATIO && b >= WALL_NOISE_FLOOR_MS {
-                report
-                    .failures
-                    .push(format!("{name}: warm wall {b:.1} ms -> {c:.1} ms ({ratio:.1}x)"));
-            } else if ratio > COUNTER_TOLERANCE {
-                report.lines.push(format!(
-                    "{name}: warm wall {b:.1} ms -> {c:.1} ms ({ratio:.1}x, warn only)"
-                ));
-            }
-        }
-    }
-
-    check_storm(baseline, current, &mut report);
-
-    // Answer identity and the acceptance floor — current file only.
-    for cur in &cur_cases {
-        let name = case_name(cur);
-        if cur.get("same_tree") == Some(&Json::Bool(false)) {
-            report.failures.push(format!("{name}: comparison paths decoded different trees"));
-        }
-        let n = cur.get("n").and_then(Json::as_f64).unwrap_or(0.0);
-        if n < ACCEPTANCE_N || cur.get("single").is_none_or(|s| !s.is_obj()) {
-            continue;
-        }
-        match cur.get("round_ratio").and_then(Json::as_f64) {
-            Some(r) if r >= MIN_ROUND_RATIO => {
-                report.lines.push(format!("{name}: round_ratio {r:.2} >= {MIN_ROUND_RATIO}"));
-            }
-            Some(r) => {
-                report.failures.push(format!(
-                    "{name}: round_ratio {r:.2} below acceptance floor {MIN_ROUND_RATIO}"
-                ));
-            }
-            None => report.failures.push(format!("{name}: round_ratio missing")),
-        }
-        match cur.get("single_speedup").and_then(Json::as_f64) {
-            Some(s) if s >= MIN_SINGLE_SPEEDUP => {
-                report.lines.push(format!("{name}: single_speedup {s:.2} >= {MIN_SINGLE_SPEEDUP}"));
-            }
-            Some(s) => {
-                report.failures.push(format!(
-                    "{name}: single_speedup {s:.2} below acceptance floor {MIN_SINGLE_SPEEDUP}"
-                ));
-            }
-            None => report.failures.push(format!("{name}: single_speedup missing")),
-        }
-    }
-
-    report
-}
-
-/// Gates the schema-4 service-storm rung. The invariants (`all_typed`,
-/// `no_leaked_workers`) are host-independent and fail hard; the
-/// throughput/p99 trajectory is wall-clock-like and only warns, and only
-/// compares when baseline and current ran the same number of requests.
-fn check_storm(baseline: &Json, current: &Json, report: &mut CheckReport) {
-    let Some(cur) = current.get("storm").filter(|s| s.is_obj()) else {
-        report.lines.push("storm: no storm block in current file (skipped)".to_string());
-        return;
-    };
-    for (field, what) in [
-        ("all_typed", "a request resolved without a typed outcome"),
-        ("no_leaked_workers", "the fleet leaked worker threads"),
-    ] {
-        match cur.get(field) {
-            Some(&Json::Bool(true)) => report.lines.push(format!("storm: {field} ok")),
-            _ => report.failures.push(format!("storm: {what}")),
-        }
-    }
-    let Some(base) = baseline.get("storm").filter(|s| s.is_obj()) else {
-        report.lines.push("storm: no baseline storm block (trajectory skipped)".to_string());
-        return;
-    };
-    let requests = |doc: &Json| doc.get("requests").and_then(Json::as_f64).unwrap_or(0.0);
-    if requests(base) != requests(cur) {
-        report.lines.push(format!(
-            "storm: request counts differ (baseline {:.0}, current {:.0}) — trajectory skipped",
-            requests(base),
-            requests(cur)
-        ));
-        return;
-    }
-    if let (Some(b), Some(c)) =
-        (base.get("p99_ms").and_then(Json::as_f64), cur.get("p99_ms").and_then(Json::as_f64))
-    {
-        let ratio = if b > 0.0 { c / b } else { 1.0 };
-        if ratio > WALL_GROSS_RATIO && b >= WALL_NOISE_FLOOR_MS {
-            report.failures.push(format!("storm: p99 {b:.1} ms -> {c:.1} ms ({ratio:.1}x)"));
-        } else if ratio > COUNTER_TOLERANCE {
-            report
-                .lines
-                .push(format!("storm: p99 {b:.1} ms -> {c:.1} ms ({ratio:.1}x, warn only)"));
-        }
-    }
-    if let (Some(b), Some(c)) = (
-        base.get("throughput_rps").and_then(Json::as_f64),
-        cur.get("throughput_rps").and_then(Json::as_f64),
-    ) {
-        let ratio = if c > 0.0 { b / c } else { f64::INFINITY };
-        if ratio > WALL_GROSS_RATIO {
-            report
-                .failures
-                .push(format!("storm: throughput {b:.1} -> {c:.1} req/s ({ratio:.1}x slower)"));
-        } else if ratio > COUNTER_TOLERANCE {
-            report.lines.push(format!(
-                "storm: throughput {b:.1} -> {c:.1} req/s ({ratio:.1}x slower, warn only)"
-            ));
-        }
-    }
-}
-
-/// Typed verdict `bench-check trend` assigns to one tracked metric.
+/// Typed verdict `bench-check` assigns to one tracked metric.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Verdict {
     /// Meaningfully better than the baseline.
@@ -262,7 +75,8 @@ pub enum Verdict {
     /// Worse than the baseline; `hard` regressions fail the command.
     Regressed {
         /// Beyond what runner noise explains (deterministic-counter
-        /// tolerance, or the gross wall ratio over the noise floor).
+        /// tolerance, the gross wall ratio over the noise floor, or a
+        /// gross throughput collapse).
         hard: bool,
     },
 }
@@ -278,9 +92,9 @@ impl Verdict {
     }
 }
 
-/// One metric's baseline-vs-current comparison in a trend report.
+/// One metric's baseline-vs-current comparison.
 #[derive(Clone, Debug)]
-pub struct TrendLine {
+pub struct VerdictLine {
     /// Case name, or `storm` for the storm rung.
     pub case: String,
     /// Metric key, e.g. `warm.pivots`.
@@ -290,19 +104,19 @@ pub struct TrendLine {
     pub verdict: Verdict,
 }
 
-/// What `bench-check trend` concluded.
+/// What `bench-check` concluded.
 #[derive(Clone, Debug, Default)]
-pub struct TrendReport {
+pub struct CheckReport {
     /// Per-metric verdicts, in case then metric order.
-    pub lines: Vec<TrendLine>,
-    /// Informational notes (skips, history drift).
+    pub lines: Vec<VerdictLine>,
+    /// Informational notes (skips, acceptance margins, history drift).
     pub notes: Vec<String>,
     /// Hard failures — non-empty fails the command. Every
     /// `Verdict::Regressed { hard: true }` line has a failure here.
     pub failures: Vec<String>,
 }
 
-impl TrendReport {
+impl CheckReport {
     /// True when no hard regression or invariant violation was found.
     pub fn passed(&self) -> bool {
         self.failures.is_empty()
@@ -312,9 +126,26 @@ impl TrendReport {
         self.lines.iter().filter(|l| want(l.verdict)).count()
     }
 
-    /// Renders the trend table, failures last.
+    /// Records one verdict; a hard regression is also a failure.
+    fn push(&mut self, case: &str, metric: String, b: f64, c: f64, verdict: Verdict) {
+        if verdict == (Verdict::Regressed { hard: true }) {
+            self.failures.push(format!(
+                "{case}: {metric} regressed {b:.3} -> {c:.3} ({:.2}x)",
+                if b > 0.0 { c / b } else { f64::NAN }
+            ));
+        }
+        self.lines.push(VerdictLine {
+            case: case.to_string(),
+            metric,
+            baseline: b,
+            current: c,
+            verdict,
+        });
+    }
+
+    /// Renders the verdict table, then notes, then failures.
     pub fn render(&self) -> String {
-        let mut out = String::from("bench-check trend — current vs baseline\n");
+        let mut out = String::from("bench-check — current vs baseline\n");
         for l in &self.lines {
             let ratio = if l.baseline > 0.0 { l.current / l.baseline } else { f64::NAN };
             out.push_str(&format!(
@@ -341,9 +172,7 @@ impl TrendReport {
             out.push_str("PASS\n");
         } else {
             for f in &self.failures {
-                out.push_str("FAIL: ");
-                out.push_str(f);
-                out.push('\n');
+                out.push_str(&format!("FAIL: {f}\n"));
             }
         }
         out
@@ -365,52 +194,53 @@ fn counter_verdict(b: f64, c: f64) -> Verdict {
     }
 }
 
-/// Wall-clock verdict: host-dependent, so only a gross blowup over the
-/// noise floor is hard.
-fn wall_verdict(b: f64, c: f64) -> Verdict {
-    let ratio = if b > 0.0 { c / b } else { 1.0 };
-    if ratio > WALL_GROSS_RATIO && b >= WALL_NOISE_FLOOR_MS {
+/// Slowdown verdict for a host-dependent measure: `slowdown` is current
+/// over baseline cost (or baseline over current rate). Only a gross
+/// slowdown is hard, and only where `floored` is false.
+fn slowdown_verdict(slowdown: f64, floored: bool) -> Verdict {
+    if slowdown > WALL_GROSS_RATIO && !floored {
         Verdict::Regressed { hard: true }
-    } else if ratio > COUNTER_TOLERANCE {
+    } else if slowdown > COUNTER_TOLERANCE {
         Verdict::Regressed { hard: false }
-    } else if ratio < 0.80 {
+    } else if slowdown < 0.80 {
         Verdict::Improved
     } else {
         Verdict::Flat
     }
 }
 
-/// Per-case metrics the trend tracks: deterministic counters plus the
-/// per-stage wall breakdown (`lp_ms` / `sep_ms` / `decode_ms` ride along
-/// so a regression points at the stage that moved, not just the total).
-const TREND_COUNTERS: [&str; 3] = ["lp_solves", "pivots", "cut_rounds"];
-const TREND_WALLS: [&str; 4] = ["wall_ms", "lp_ms", "sep_ms", "decode_ms"];
+/// Wall-clock verdict: a gross blowup is hard only over the noise floor.
+fn wall_verdict(b: f64, c: f64) -> Verdict {
+    slowdown_verdict(if b > 0.0 { c / b } else { 1.0 }, b < WALL_NOISE_FLOOR_MS)
+}
 
-/// Compares current against baseline (and optionally a rolling history of
-/// prior runs), assigning a typed [`Verdict`] per metric.
-pub fn trend(baseline: &Json, current: &Json, history: &[Json]) -> TrendReport {
-    let mut report = TrendReport::default();
+/// Throughput verdict: a rate has no millisecond noise floor, so a gross
+/// collapse is hard at any rate.
+fn throughput_verdict(b: f64, c: f64) -> Verdict {
+    slowdown_verdict(if c > 0.0 { b / c } else { f64::INFINITY }, false)
+}
+
+fn counter(case: &Json, path: &str, field: &str) -> Option<f64> {
+    case.get(path)?.get(field)?.as_f64()
+}
+
+fn case_name(case: &Json) -> &str {
+    case.get("name").and_then(Json::as_str).unwrap_or("?")
+}
+
+fn cases(doc: &Json) -> Vec<&Json> {
+    doc.get("cases").and_then(Json::as_arr).map(|a| a.iter().collect()).unwrap_or_default()
+}
+
+/// Compares a current bench document against a baseline document and,
+/// when given, a rolling history of prior runs.
+pub fn check(baseline: &Json, current: &Json, history: &[Json]) -> CheckReport {
+    let mut report = CheckReport::default();
     let base_cases = cases(baseline);
     let cur_cases = cases(current);
     if cur_cases.is_empty() {
         report.failures.push("current file has no cases".to_string());
         return report;
-    }
-
-    fn push(report: &mut TrendReport, case: &str, metric: String, b: f64, c: f64, v: Verdict) {
-        if v == (Verdict::Regressed { hard: true }) {
-            report.failures.push(format!(
-                "{case}: {metric} regressed {b:.3} -> {c:.3} ({:.2}x)",
-                if b > 0.0 { c / b } else { f64::NAN }
-            ));
-        }
-        report.lines.push(TrendLine {
-            case: case.to_string(),
-            metric,
-            baseline: b,
-            current: c,
-            verdict: v,
-        });
     }
 
     for cur in &cur_cases {
@@ -419,106 +249,133 @@ pub fn trend(baseline: &Json, current: &Json, history: &[Json]) -> TrendReport {
             report.notes.push(format!("{name}: new case, no baseline (skipped)"));
             continue;
         };
-        for field in TREND_COUNTERS {
+        for field in COUNTERS {
+            match (counter(base, "warm", field), counter(cur, "warm", field)) {
+                (Some(b), Some(c)) => {
+                    report.push(name, format!("warm.{field}"), b, c, counter_verdict(b, c))
+                }
+                _ => report.notes.push(format!("{name}: warm.{field} missing (skipped)")),
+            }
+        }
+        for field in WALLS {
             if let (Some(b), Some(c)) = (counter(base, "warm", field), counter(cur, "warm", field))
             {
-                push(&mut report, name, format!("warm.{field}"), b, c, counter_verdict(b, c));
-            }
-        }
-        for field in TREND_WALLS {
-            if let (Some(b), Some(c)) = (counter(base, "warm", field), counter(cur, "warm", field))
-            {
-                push(&mut report, name, format!("warm.{field}"), b, c, wall_verdict(b, c));
+                report.push(name, format!("warm.{field}"), b, c, wall_verdict(b, c));
             }
         }
     }
 
-    // Storm rung: the invariants are hard regardless of the baseline; the
-    // latency/throughput trajectory gets verdicts when comparable.
-    if let Some(cur) = current.get("storm").filter(|s| s.is_obj()) {
-        for (field, what) in [
-            ("all_typed", "a request resolved without a typed outcome"),
-            ("no_leaked_workers", "the fleet leaked worker threads"),
-        ] {
-            if cur.get(field) != Some(&Json::Bool(true)) {
-                report.failures.push(format!("storm: {what}"));
-            }
-        }
-        let base_storm = baseline.get("storm").filter(|s| s.is_obj());
-        let comparable = base_storm.is_some_and(|b| {
-            b.get("requests").and_then(Json::as_f64) == cur.get("requests").and_then(Json::as_f64)
-        });
-        if let Some(base) = base_storm.filter(|_| comparable) {
-            if let (Some(b), Some(c)) = (
-                base.get("p99_ms").and_then(Json::as_f64),
-                cur.get("p99_ms").and_then(Json::as_f64),
-            ) {
-                push(&mut report, "storm", "p99_ms".to_string(), b, c, wall_verdict(b, c));
-            }
-            if let (Some(b), Some(c)) = (
-                base.get("throughput_rps").and_then(Json::as_f64),
-                cur.get("throughput_rps").and_then(Json::as_f64),
-            ) {
-                // Throughput regresses downward; invert for the verdict.
-                push(
-                    &mut report,
-                    "storm",
-                    "throughput_rps".to_string(),
-                    b,
-                    c,
-                    wall_verdict(c.max(1e-9), b),
-                );
-            }
-        } else {
-            report.notes.push("storm: baseline not comparable (trajectory skipped)".to_string());
-        }
-    }
+    check_storm(baseline, current, &mut report);
 
-    // Rolling history: compare deterministic counters against the median
-    // of prior runs — a slow drift that stays inside the per-run
-    // tolerance still surfaces here (as a note, never a failure, since
-    // the baseline comparison above is the gate).
-    if history.len() >= 3 {
-        for cur in &cur_cases {
-            let name = case_name(cur);
-            for field in TREND_COUNTERS {
-                let Some(c) = counter(cur, "warm", field) else { continue };
-                let mut past: Vec<f64> = history
-                    .iter()
-                    .filter_map(|doc| {
-                        cases(doc)
-                            .iter()
-                            .find(|b| case_name(b) == name)
-                            .and_then(|b| counter(b, "warm", field))
-                    })
-                    .collect();
-                if past.len() < 3 {
-                    continue;
+    // Answer identity and the acceptance floor — current file only.
+    for cur in &cur_cases {
+        let name = case_name(cur);
+        if cur.get("same_tree") == Some(&Json::Bool(false)) {
+            report.failures.push(format!("{name}: comparison paths decoded different trees"));
+        }
+        let n = cur.get("n").and_then(Json::as_f64).unwrap_or(0.0);
+        if n < ACCEPTANCE_N || cur.get("single").is_none_or(|s| !s.is_obj()) {
+            continue;
+        }
+        for (field, floor) in
+            [("round_ratio", MIN_ROUND_RATIO), ("single_speedup", MIN_SINGLE_SPEEDUP)]
+        {
+            match cur.get(field).and_then(Json::as_f64) {
+                Some(r) if r >= floor => {
+                    report.notes.push(format!("{name}: {field} {r:.2} >= {floor}"))
                 }
-                past.sort_by(|a, b| a.total_cmp(b));
-                let median = past[past.len() / 2];
-                if median > 0.0 && c > median * COUNTER_TOLERANCE {
-                    report.notes.push(format!(
-                        "{name}: warm.{field} {c:.0} drifted above history median {median:.0} \
-                         over {} run(s)",
-                        past.len()
-                    ));
-                }
+                Some(r) => report
+                    .failures
+                    .push(format!("{name}: {field} {r:.2} below acceptance floor {floor}")),
+                None => report.failures.push(format!("{name}: {field} missing")),
             }
         }
-        report.notes.push(format!("history: compared against {} prior run(s)", history.len()));
     }
 
+    check_history(&cur_cases, history, &mut report);
     report
 }
 
-/// Rolling-history cap: `run_trend` keeps this many most-recent runs.
-const HISTORY_CAP: usize = 20;
+/// Gates the schema-4 service-storm rung. The invariants (`all_typed`,
+/// `no_leaked_workers`) are host-independent and fail hard; the p99 and
+/// throughput trajectory is compared only when baseline and current ran
+/// the same number of requests.
+fn check_storm(baseline: &Json, current: &Json, report: &mut CheckReport) {
+    let Some(cur) = current.get("storm").filter(|s| s.is_obj()) else {
+        report.notes.push("storm: no storm block in current file (skipped)".to_string());
+        return;
+    };
+    for (field, what) in [
+        ("all_typed", "a request resolved without a typed outcome"),
+        ("no_leaked_workers", "the fleet leaked worker threads"),
+    ] {
+        if cur.get(field) != Some(&Json::Bool(true)) {
+            report.failures.push(format!("storm: {what}"));
+        }
+    }
+    let Some(base) = baseline.get("storm").filter(|s| s.is_obj()) else {
+        report.notes.push("storm: no baseline storm block (trajectory skipped)".to_string());
+        return;
+    };
+    let num = |doc: &Json, field: &str| doc.get(field).and_then(Json::as_f64);
+    let requests = |doc: &Json| num(doc, "requests").unwrap_or(0.0);
+    if requests(base) != requests(cur) {
+        report.notes.push(format!(
+            "storm: request counts differ (baseline {:.0}, current {:.0}) — trajectory skipped",
+            requests(base),
+            requests(cur)
+        ));
+        return;
+    }
+    if let (Some(b), Some(c)) = (num(base, "p99_ms"), num(cur, "p99_ms")) {
+        report.push("storm", "p99_ms".to_string(), b, c, wall_verdict(b, c));
+    }
+    if let (Some(b), Some(c)) = (num(base, "throughput_rps"), num(cur, "throughput_rps")) {
+        report.push("storm", "throughput_rps".to_string(), b, c, throughput_verdict(b, c));
+    }
+}
 
-/// `bench-check trend` entry point: compares current vs baseline (and the
+/// Compares deterministic counters against the median of prior runs — a
+/// slow drift that stays inside the per-run tolerance still surfaces here
+/// (as a note, never a failure, since the baseline comparison is the gate).
+fn check_history(cur_cases: &[&Json], history: &[Json], report: &mut CheckReport) {
+    if history.len() < 3 {
+        return;
+    }
+    for cur in cur_cases {
+        let name = case_name(cur);
+        for field in COUNTERS {
+            let Some(c) = counter(cur, "warm", field) else { continue };
+            let mut past: Vec<f64> = history
+                .iter()
+                .filter_map(|doc| {
+                    cases(doc)
+                        .iter()
+                        .find(|b| case_name(b) == name)
+                        .and_then(|b| counter(b, "warm", field))
+                })
+                .collect();
+            if past.len() < 3 {
+                continue;
+            }
+            past.sort_by(|a, b| a.total_cmp(b));
+            let median = past[past.len() / 2];
+            if median > 0.0 && c > median * COUNTER_TOLERANCE {
+                report.notes.push(format!(
+                    "{name}: warm.{field} {c:.0} drifted above history median {median:.0} \
+                     over {} run(s)",
+                    past.len()
+                ));
+            }
+        }
+    }
+    report.notes.push(format!("history: compared against {} prior run(s)", history.len()));
+}
+
+/// `bench-check` entry point: compares current vs baseline (and the
 /// rolling history JSONL when given), then appends the current run to the
 /// history. Returns the rendered report plus the pass verdict.
-pub fn run_trend(
+pub fn run(
     baseline_path: &str,
     current_path: &str,
     history_path: Option<&str>,
@@ -538,7 +395,7 @@ pub fn run_trend(
     }
     let history: Vec<Json> = history_lines.iter().filter_map(|l| parse(l).ok()).collect();
 
-    let report = trend(&baseline, &current, &history);
+    let report = check(&baseline, &current, &history);
 
     if let Some(path) = history_path {
         // One JSONL line per run, newest last, capped. The bench file is
@@ -554,18 +411,6 @@ pub fn run_trend(
     Ok((report.render(), report.passed()))
 }
 
-/// Reads both files, runs the comparison, and returns the rendered report
-/// plus the pass verdict.
-pub fn run(baseline_path: &str, current_path: &str) -> Result<(String, bool), String> {
-    let read = |p: &str| std::fs::read_to_string(p).map_err(|e| format!("cannot read {p}: {e}"));
-    let baseline =
-        parse(&read(baseline_path)?).map_err(|e| format!("{baseline_path}: invalid JSON: {e}"))?;
-    let current =
-        parse(&read(current_path)?).map_err(|e| format!("{current_path}: invalid JSON: {e}"))?;
-    let report = check(&baseline, &current);
-    Ok((report.render(), report.passed()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -576,6 +421,11 @@ mod tests {
              \"cases\": [{cases}]}}"
         ))
         .unwrap()
+    }
+
+    /// The verdict `report` gave `metric` (first match).
+    fn verdict(report: &CheckReport, metric: &str) -> Verdict {
+        report.lines.iter().find(|l| l.metric == metric).map(|l| l.verdict).unwrap()
     }
 
     fn case(name: &str, n: usize, warm: (u64, u64, u64, f64), extra: &str) -> String {
@@ -590,7 +440,7 @@ mod tests {
     #[test]
     fn identical_runs_pass() {
         let b = doc(&case("rand-20", 20, (5, 100, 6, 10.0), ""));
-        let report = check(&b, &b);
+        let report = check(&b, &b, &[]);
         assert!(report.passed(), "{:?}", report.failures);
     }
 
@@ -598,7 +448,7 @@ mod tests {
     fn counter_regression_fails() {
         let b = doc(&case("rand-20", 20, (5, 100, 6, 10.0), ""));
         let c = doc(&case("rand-20", 20, (5, 200, 6, 10.0), ""));
-        let report = check(&b, &c);
+        let report = check(&b, &c, &[]);
         assert!(!report.passed());
         assert!(report.failures[0].contains("pivots"), "{:?}", report.failures);
     }
@@ -607,18 +457,18 @@ mod tests {
     fn counter_growth_within_tolerance_passes() {
         let b = doc(&case("rand-20", 20, (5, 100, 6, 10.0), ""));
         let c = doc(&case("rand-20", 20, (6, 120, 7, 10.0), ""));
-        assert!(check(&b, &c).passed());
+        assert!(check(&b, &c, &[]).passed());
     }
 
     #[test]
     fn wall_clock_noise_warns_but_gross_blowup_fails() {
         let b = doc(&case("rand-80", 80, (5, 100, 6, 100.0), ""));
         let noisy = doc(&case("rand-80", 80, (5, 100, 6, 250.0), ""));
-        let report = check(&b, &noisy);
+        let report = check(&b, &noisy, &[]);
         assert!(report.passed(), "2.5x wall is runner noise: {:?}", report.failures);
-        assert!(report.lines.iter().any(|l| l.contains("warn only")));
+        assert_eq!(verdict(&report, "warm.wall_ms"), Verdict::Regressed { hard: false });
         let gross = doc(&case("rand-80", 80, (5, 100, 6, 1000.0), ""));
-        assert!(!check(&b, &gross).passed(), "10x wall cannot be noise");
+        assert!(!check(&b, &gross, &[]).passed(), "10x wall cannot be noise");
     }
 
     #[test]
@@ -627,9 +477,9 @@ mod tests {
         // the noise floor the gross ratio downgrades to a warning.
         let b = doc(&case("dfl-16", 16, (2, 83, 2, 1.0), ""));
         let jittery = doc(&case("dfl-16", 16, (2, 83, 2, 9.0), ""));
-        let report = check(&b, &jittery);
+        let report = check(&b, &jittery, &[]);
         assert!(report.passed(), "{:?}", report.failures);
-        assert!(report.lines.iter().any(|l| l.contains("warn only")));
+        assert_eq!(verdict(&report, "warm.wall_ms"), Verdict::Regressed { hard: false });
     }
 
     #[test]
@@ -640,9 +490,9 @@ mod tests {
             case("rand-20", 20, (5, 100, 6, 10.0), ""),
             case("rand-40", 40, (9, 400, 12, 40.0), "")
         ));
-        let report = check(&b, &c);
+        let report = check(&b, &c, &[]);
         assert!(report.passed(), "{:?}", report.failures);
-        assert!(report.lines.iter().any(|l| l.contains("no baseline")));
+        assert!(report.notes.iter().any(|l| l.contains("no baseline")));
     }
 
     #[test]
@@ -650,12 +500,12 @@ mod tests {
         let good = ", \"single\": {\"wall_ms\": 99.0, \"cut_rounds\": 60}, \
                     \"round_ratio\": 5.00, \"single_speedup\": 3.10";
         let b = doc(&case("rand-160", 160, (5, 100, 12, 30.0), good));
-        assert!(check(&b, &b).passed());
+        assert!(check(&b, &b, &[]).passed());
 
         let weak = ", \"single\": {\"wall_ms\": 33.0, \"cut_rounds\": 14}, \
                     \"round_ratio\": 1.17, \"single_speedup\": 1.10";
         let c = doc(&case("rand-160", 160, (5, 100, 12, 30.0), weak));
-        let report = check(&b, &c);
+        let report = check(&b, &c, &[]);
         assert!(!report.passed());
         assert!(report.failures.iter().any(|f| f.contains("round_ratio")));
         assert!(report.failures.iter().any(|f| f.contains("single_speedup")));
@@ -666,7 +516,7 @@ mod tests {
         let weak = ", \"single\": {\"wall_ms\": 10.0, \"cut_rounds\": 6}, \
                     \"round_ratio\": 1.00, \"single_speedup\": 1.00";
         let b = doc(&case("rand-20", 20, (5, 100, 6, 10.0), weak));
-        assert!(check(&b, &b).passed(), "n = 20 has no acceptance floor");
+        assert!(check(&b, &b, &[]).passed(), "n = 20 has no acceptance floor");
     }
 
     #[test]
@@ -674,7 +524,7 @@ mod tests {
         let b = doc(&case("rand-20", 20, (5, 100, 6, 10.0), ""));
         let bad = case("rand-20", 20, (5, 100, 6, 10.0), "")
             .replace("\"same_tree\": true", "\"same_tree\": false");
-        let report = check(&b, &doc(&bad));
+        let report = check(&b, &doc(&bad), &[]);
         assert!(!report.passed());
         assert!(report.failures[0].contains("different trees"));
     }
@@ -701,15 +551,15 @@ mod tests {
     fn storm_invariants_fail_hard() {
         let c = case("rand-20", 20, (5, 100, 6, 10.0), "");
         let good = doc_with_storm(&c, &storm(1000, 100.0, 50.0, true, true));
-        assert!(check(&good, &good).passed());
+        assert!(check(&good, &good, &[]).passed());
 
         let hung = doc_with_storm(&c, &storm(1000, 100.0, 50.0, false, true));
-        let report = check(&good, &hung);
+        let report = check(&good, &hung, &[]);
         assert!(!report.passed());
         assert!(report.failures.iter().any(|f| f.contains("typed outcome")), "{report:?}");
 
         let leaky = doc_with_storm(&c, &storm(1000, 100.0, 50.0, true, false));
-        assert!(check(&good, &leaky).failures.iter().any(|f| f.contains("leaked")));
+        assert!(check(&good, &leaky, &[]).failures.iter().any(|f| f.contains("leaked")));
     }
 
     #[test]
@@ -717,14 +567,16 @@ mod tests {
         let c = case("rand-20", 20, (5, 100, 6, 10.0), "");
         let b = doc_with_storm(&c, &storm(1000, 100.0, 50.0, true, true));
         let noisy = doc_with_storm(&c, &storm(1000, 250.0, 30.0, true, true));
-        let report = check(&b, &noisy);
+        let report = check(&b, &noisy, &[]);
         assert!(report.passed(), "2.5x p99 is runner noise: {:?}", report.failures);
-        assert!(report.lines.iter().any(|l| l.contains("p99") && l.contains("warn only")));
+        assert_eq!(verdict(&report, "p99_ms"), Verdict::Regressed { hard: false });
+        assert_eq!(verdict(&report, "throughput_rps"), Verdict::Regressed { hard: false });
         let gross = doc_with_storm(&c, &storm(1000, 1000.0, 5.0, true, true));
-        let report = check(&b, &gross);
+        let report = check(&b, &gross, &[]);
         assert!(!report.passed(), "10x p99 and throughput collapse cannot be noise");
         assert!(report.failures.iter().any(|f| f.contains("p99")));
         assert!(report.failures.iter().any(|f| f.contains("throughput")));
+        assert_eq!(verdict(&report, "throughput_rps"), Verdict::Regressed { hard: true });
     }
 
     #[test]
@@ -734,9 +586,9 @@ mod tests {
         // trajectory comparison is skipped.
         let b = doc_with_storm(&c, &storm(1000, 100.0, 50.0, true, true));
         let smoke = doc_with_storm(&c, &storm(150, 5000.0, 1.0, true, true));
-        let report = check(&b, &smoke);
+        let report = check(&b, &smoke, &[]);
         assert!(report.passed(), "{:?}", report.failures);
-        assert!(report.lines.iter().any(|l| l.contains("request counts differ")));
+        assert!(report.notes.iter().any(|l| l.contains("request counts differ")));
     }
 
     #[test]
@@ -746,23 +598,23 @@ mod tests {
         let cold_extra = ", \"cold\": {\"wall_ms\": 40.0, \"lp_solves\": 5, \"pivots\": 900, \
                           \"cut_rounds\": 6}, \"speedup\": 4.00";
         let b = doc(&case("rand-20", 20, (5, 100, 6, 10.0), cold_extra));
-        let report = check(&b, &b);
+        let report = check(&b, &b, &[]);
         assert!(report.passed(), "{:?}", report.failures);
-        assert!(report.lines.iter().any(|l| l.contains("no storm block")));
+        assert!(report.notes.iter().any(|l| l.contains("no storm block")));
         // v3 baseline, v4 current without the cold fields: the invariants
         // gate on the current file and the old cold copies are ignored.
         let c = doc_with_storm(
             &case("rand-20", 20, (5, 100, 6, 10.0), ""),
             &storm(150, 100.0, 10.0, true, true),
         );
-        let report = check(&b, &c);
+        let report = check(&b, &c, &[]);
         assert!(report.passed(), "{:?}", report.failures);
-        assert!(report.lines.iter().any(|l| l.contains("no baseline storm")));
-        assert!(report.lines.iter().chain(&report.failures).all(|l| !l.contains("cold")));
-        assert!(trend(&b, &c, &[]).passed());
+        assert!(report.notes.iter().any(|l| l.contains("no baseline storm")));
+        assert!(report.lines.iter().all(|l| !l.metric.contains("cold")));
+        assert!(report.notes.iter().chain(&report.failures).all(|l| !l.contains("cold")));
     }
 
-    /// A case with the per-stage wall breakdown the trend tracks.
+    /// A case with the per-stage wall breakdown.
     fn staged_case(name: &str, warm: (u64, u64, u64, f64), lp: f64, sep: f64, dec: f64) -> String {
         let (solves, pivots, rounds, wall) = warm;
         format!(
@@ -774,30 +626,34 @@ mod tests {
     }
 
     #[test]
-    fn trend_of_identical_runs_is_flat_and_passes() {
+    fn verdicts_of_identical_runs_are_flat_and_pass() {
         let b = doc(&staged_case("rand-80", (5, 100, 6, 100.0), 60.0, 30.0, 5.0));
-        let report = trend(&b, &b, &[]);
+        let report = check(&b, &b, &[]);
         assert!(report.passed(), "{:?}", report.failures);
         assert!(!report.lines.is_empty());
         assert!(report.lines.iter().all(|l| l.verdict == Verdict::Flat), "{report:?}");
         assert!(report.render().contains("PASS"), "{}", report.render());
+        // Flat on every metric, but the comparison paths disagree: fails.
+        let forked = staged_case("rand-80", (5, 100, 6, 100.0), 60.0, 30.0, 5.0)
+            .replace("\"same_tree\": true", "\"same_tree\": false");
+        let report = check(&b, &doc(&forked), &[]);
+        assert!(report.lines.iter().all(|l| l.verdict == Verdict::Flat), "{report:?}");
+        assert!(!report.passed());
+        assert!(report.failures.iter().any(|f| f.contains("different trees")), "{report:?}");
     }
 
     #[test]
-    fn trend_hard_fails_on_an_injected_synthetic_regression() {
+    fn verdicts_hard_fail_on_an_injected_synthetic_regression() {
         let b = doc(&staged_case("rand-80", (5, 100, 6, 100.0), 60.0, 30.0, 5.0));
         // Inject a 10x pivot blowup with a matching lp_ms stage blowup,
         // while decode improves — the verdicts must come back typed.
         let c = doc(&staged_case("rand-80", (5, 1000, 6, 500.0), 450.0, 30.0, 2.0));
-        let report = trend(&b, &c, &[]);
+        let report = check(&b, &c, &[]);
         assert!(!report.passed());
-        let verdict = |metric: &str| {
-            report.lines.iter().find(|l| l.metric == metric).map(|l| l.verdict).unwrap()
-        };
-        assert_eq!(verdict("warm.pivots"), Verdict::Regressed { hard: true });
-        assert_eq!(verdict("warm.lp_ms"), Verdict::Regressed { hard: true });
-        assert_eq!(verdict("warm.decode_ms"), Verdict::Improved);
-        assert_eq!(verdict("warm.sep_ms"), Verdict::Flat);
+        assert_eq!(verdict(&report, "warm.pivots"), Verdict::Regressed { hard: true });
+        assert_eq!(verdict(&report, "warm.lp_ms"), Verdict::Regressed { hard: true });
+        assert_eq!(verdict(&report, "warm.decode_ms"), Verdict::Improved);
+        assert_eq!(verdict(&report, "warm.sep_ms"), Verdict::Flat);
         assert!(report.failures.iter().any(|f| f.contains("warm.pivots")), "{report:?}");
         let text = report.render();
         assert!(text.contains("REGRESSED"), "{text}");
@@ -805,35 +661,33 @@ mod tests {
     }
 
     #[test]
-    fn trend_wall_noise_is_soft_below_the_gross_ratio() {
+    fn wall_noise_verdict_is_soft_below_the_gross_ratio() {
         let b = doc(&staged_case("rand-80", (5, 100, 6, 100.0), 60.0, 30.0, 5.0));
         let noisy = doc(&staged_case("rand-80", (5, 100, 6, 250.0), 60.0, 30.0, 5.0));
-        let report = trend(&b, &noisy, &[]);
+        let report = check(&b, &noisy, &[]);
         assert!(report.passed(), "2.5x wall is runner noise: {:?}", report.failures);
-        let wall = report.lines.iter().find(|l| l.metric == "warm.wall_ms").unwrap();
-        assert_eq!(wall.verdict, Verdict::Regressed { hard: false });
+        assert_eq!(verdict(&report, "warm.wall_ms"), Verdict::Regressed { hard: false });
     }
 
     #[test]
-    fn trend_gates_storm_invariants_and_trajectory() {
+    fn verdicts_gate_storm_invariants_and_trajectory() {
         let c = case("rand-20", 20, (5, 100, 6, 10.0), "");
         let b = doc_with_storm(&c, &storm(1000, 100.0, 50.0, true, true));
         let hung = doc_with_storm(&c, &storm(1000, 100.0, 50.0, false, true));
-        assert!(!trend(&b, &hung, &[]).passed());
+        assert!(!check(&b, &hung, &[]).passed());
         let gross = doc_with_storm(&c, &storm(1000, 1000.0, 50.0, true, true));
-        let report = trend(&b, &gross, &[]);
+        let report = check(&b, &gross, &[]);
         assert!(!report.passed());
-        let p99 = report.lines.iter().find(|l| l.metric == "p99_ms").unwrap();
-        assert_eq!(p99.verdict, Verdict::Regressed { hard: true });
+        assert_eq!(verdict(&report, "p99_ms"), Verdict::Regressed { hard: true });
     }
 
     #[test]
-    fn trend_notes_drift_against_the_history_median() {
+    fn history_notes_drift_against_the_median() {
         let mk = |pivots: u64| doc(&staged_case("rand-80", (5, pivots, 6, 100.0), 60.0, 30.0, 5.0));
         // Baseline already crept up, so current-vs-baseline stays flat —
         // only the history median exposes the slow drift.
         let history = vec![mk(100), mk(102), mk(104)];
-        let report = trend(&mk(130), &mk(132), &history);
+        let report = check(&mk(130), &mk(132), &history);
         assert!(report.passed(), "{:?}", report.failures);
         assert!(
             report.notes.iter().any(|n| n.contains("drifted above history median")),
@@ -842,8 +696,8 @@ mod tests {
     }
 
     #[test]
-    fn run_trend_appends_the_rolling_history() {
-        let dir = std::env::temp_dir().join(format!("wsn-trend-{}", std::process::id()));
+    fn run_appends_the_rolling_history() {
+        let dir = std::env::temp_dir().join(format!("wsn-bench-history-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = |name: &str| dir.join(name).to_string_lossy().into_owned();
         let doc_text = format!(
@@ -855,8 +709,7 @@ mod tests {
         std::fs::write(path("cur.json"), &doc_text).unwrap();
         let hist = path("history.jsonl");
         for _ in 0..2 {
-            let (text, passed) =
-                run_trend(&path("base.json"), &path("cur.json"), Some(&hist)).unwrap();
+            let (text, passed) = run(&path("base.json"), &path("cur.json"), Some(&hist)).unwrap();
             assert!(passed, "{text}");
         }
         let lines: Vec<String> =
@@ -876,6 +729,6 @@ mod tests {
         let cur_extra = ", \"single\": {\"wall_ms\": 30.0, \"cut_rounds\": 18}, \
                         \"round_ratio\": 3.00, \"single_speedup\": 3.00";
         let c = doc(&case("rand-20", 20, (5, 100, 6, 10.0), cur_extra));
-        assert!(check(&b, &c).passed());
+        assert!(check(&b, &c, &[]).passed());
     }
 }

@@ -7,8 +7,7 @@
 //! mrlc-experiments bench-perf [--smoke] [--out=PATH]   # writes BENCH_ira.json
 //! mrlc-experiments serve-storm [--fast] [--json]   # solve-service fleet throughput/p99
 //! mrlc-experiments serve-chaos            # seeded worker-kill storm (CI smoke)
-//! mrlc-experiments bench-check <baseline.json> <current.json>  # CI perf gate
-//! mrlc-experiments bench-check trend <baseline.json> <current.json> [--history=H.jsonl]
+//! mrlc-experiments bench-check <baseline.json> <current.json> [--history=H.jsonl]  # CI perf gate
 //! mrlc-experiments fig8 --trace t.jsonl --metrics m.json   # instrumented run
 //! mrlc-experiments obs-report t.jsonl [w2.jsonl ...] [--metrics=m.json] [--top=N]  # summarize (merges >1)
 //! mrlc-experiments obs-report hotspots t.jsonl [w2.jsonl ...] [--top=N] [--folded]
@@ -110,25 +109,14 @@ fn main() {
     let which = cli.positional.first().cloned().unwrap_or_else(|| "all".to_string());
 
     if which == "bench-check" {
-        // `bench-check trend` is the perf-regression sentinel; without the
-        // subcommand this is the classic two-file gate.
-        let trend = cli.positional.get(1).map(String::as_str) == Some("trend");
-        let first = if trend { 2 } else { 1 };
-        let (Some(baseline), Some(current)) =
-            (cli.positional.get(first), cli.positional.get(first + 1))
-        else {
+        let [_, baseline, current] = cli.positional.as_slice() else {
             eprintln!(
-                "usage: mrlc-experiments bench-check [trend] <baseline.json> <current.json> \
+                "usage: mrlc-experiments bench-check <baseline.json> <current.json> \
                  [--history=H.jsonl]"
             );
             std::process::exit(2);
         };
-        let result = if trend {
-            bench_check::run_trend(baseline, current, cli.history_path.as_deref())
-        } else {
-            bench_check::run(baseline, current)
-        };
-        match result {
+        match bench_check::run(baseline, current, cli.history_path.as_deref()) {
             Ok((text, passed)) => {
                 print!("{text}");
                 if !passed {

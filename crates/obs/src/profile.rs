@@ -12,7 +12,7 @@
 //! `inferno`).
 
 use crate::json::{parse, Json};
-use crate::trace::TRACE_SCHEMA_VERSION;
+use crate::report::validate_header;
 use std::collections::{BTreeMap, HashMap};
 
 /// Aggregate over every span instance sharing one root-to-leaf name path.
@@ -55,19 +55,7 @@ struct OpenSpan {
 pub fn profile_trace(text: &str) -> Result<Profile, String> {
     let mut lines = text.lines();
     let header = lines.next().ok_or("empty trace: missing header line")?;
-    let h = parse(header).map_err(|e| format!("line 1: {e}"))?;
-    if h.get("type").and_then(Json::as_str) != Some("trace_header") {
-        return Err("line 1: first record must be a trace_header".to_string());
-    }
-    match h.get("schema_version").and_then(Json::as_u64) {
-        Some(TRACE_SCHEMA_VERSION) => {}
-        Some(v) => return Err(format!("line 1: unsupported schema_version {v}")),
-        None => return Err("line 1: trace_header missing schema_version".to_string()),
-    }
-    let clock = match h.get("clock").and_then(Json::as_str) {
-        Some(c @ ("wall" | "virtual")) => c.to_string(),
-        other => return Err(format!("line 1: unknown clock {other:?}")),
-    };
+    let clock = validate_header(header)?;
 
     let mut open: HashMap<u64, OpenSpan> = HashMap::new();
     let mut aggs: BTreeMap<Vec<String>, HotPath> = BTreeMap::new();

@@ -222,8 +222,8 @@ impl BodyState {
 }
 
 /// Parses and validates the header line, returning the clock kind. A trace
-/// without a well-formed header is not a trace — both readers reject it.
-fn validate_header(header: &str) -> Result<String, String> {
+/// without a well-formed header is not a trace — every reader rejects it.
+pub(crate) fn validate_header(header: &str) -> Result<String, String> {
     let header = parse(header).map_err(|e| format!("line 1: {e}"))?;
     if header.get("type").and_then(Json::as_str) != Some("trace_header") {
         return Err("line 1: first record must be a trace_header".to_string());

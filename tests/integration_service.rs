@@ -245,11 +245,13 @@ fn projected_wait_shedding_consults_the_deadline() {
         },
         ..ServiceConfig::default()
     });
-    // Depth 0: even a tight deadline is admitted.
+    // Depth 0: even a deadline far below the 10s EWMA prior is admitted.
+    // (It must outlive the worker's pickup: a job that expires before
+    // dequeue is shed as ExpiredInQueue and would leave the depth at 0.)
     let t1 = svc.submit(SolveRequest {
         instance: instance(80, 24),
         budget: SolveBudget::unlimited(),
-        deadline: Some(Duration::from_millis(1)),
+        deadline: Some(Duration::from_secs(2)),
     });
     // Let the worker pull #1 into its stall: it now counts as in-flight.
     std::thread::sleep(Duration::from_millis(50));
