@@ -30,7 +30,7 @@
 //! does the expensive seeded-min-cut oracle run; its cuts are deepened by
 //! violation-maximizing local search ([`separation::strengthen`]) and its
 //! surplus findings are parked rather than discarded. The pool and the oracle's reusable
-//! scratch networks survive IRA shrink steps and constraint drops
+//! scratch network survive IRA shrink steps and constraint drops
 //! (subtour cuts stay valid on any edge subset). The pre-engine loop —
 //! one cut per round, no pool, no seed pruning — stays available behind
 //! [`SeparationConfig::single_cut`] for A/B benchmarks; both strategies
@@ -39,7 +39,6 @@
 use crate::cutpool::{select_batch, CutPool};
 use crate::separation::{
     self, CutStrategy, FracEdge, SeedOracle, SepCounters, SeparationConfig, ViolatedSet,
-    PARALLEL_SEP_THRESHOLD,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -218,7 +217,7 @@ impl CutLpMetrics {
     }
 }
 
-/// Cutting-plane state. The cut pool, the oracle's scratch networks and
+/// Cutting-plane state. The cut pool, the oracle's scratch network and
 /// the simplex basis itself survive across IRA iterations (subtour cuts
 /// remain valid as edges/constraints are removed).
 #[derive(Clone, Debug)]
@@ -414,14 +413,8 @@ impl CutLp {
             }
         }
 
-        let mut cands = self.oracle.separate(
-            n,
-            frac,
-            SEP_TOL,
-            n >= PARALLEL_SEP_THRESHOLD,
-            self.sep.prune_seeds,
-            &self.counters,
-        );
+        let mut cands =
+            self.oracle.separate(n, frac, SEP_TOL, self.sep.prune_seeds, &self.counters);
         if cands.is_empty() {
             return Ok(0);
         }

@@ -19,17 +19,26 @@
 //! [`SeedOracle`] is the stateful engine behind both entry points. The
 //! auxiliary network's *topology* depends only on the instance `(n, edges)`
 //! — the fractional point affects capacities alone — so the oracle keeps
-//! its built networks in a shared scratch store across calls. Each call
-//! re-declares only the capacities that drifted beyond [`CAP_EPS`]
-//! (delta updates via [`FlowNetwork::set_base_cap_undirected`]) instead of
-//! rebuilding one network per worker thread per call; a seed query then
-//! flips a single pre-declared `src → s` edge to infinite capacity and a
-//! [`FlowNetwork::reset`] undoes the residual state — no per-seed
-//! allocation. Worker threads lease scratches from the store and return
-//! them on drop, so serial (traced) and parallel (untraced) calls share
-//! the same networks. Results are merged through a `BTreeMap`, so the
-//! parallel and serial paths return **identical** output (a property the
-//! proptests pin down).
+//! one built network across calls. Each call re-declares only the
+//! capacities that drifted beyond [`CAP_EPS`] (delta updates via
+//! [`FlowNetwork::set_base_cap_undirected`]) instead of rebuilding it.
+//!
+//! The seeds share one **base flow**. Every seed network is the seedless
+//! network (all `src → s` arcs at 0) with one arc opened to ∞, and raising
+//! a source arc's capacity never makes an existing flow infeasible — the
+//! monotonicity parametric max-flow rests on (Gallo, Grigoriadis & Tarjan
+//! 1989). So the oracle solves the seedless network once per capacity
+//! state and saves its residual with [`FlowNetwork::checkpoint`]; a seed
+//! query then
+//! [`FlowNetwork::restore`]s it, opens its arc and augments, and its flow
+//! value is base + augment. This is exact: the flow value is the same as a
+//! cold solve, and so is the reported set, because the nodes reachable
+//! from `src` in the residual of any maximum flow form the unique
+//! inclusion-minimal minimum cut. A capacity re-declared by a sync
+//! invalidates the base. Seeds run serially on the one network, so the
+//! output depends only on the instance, the point and the network's own
+//! sync history — never on thread scheduling. Results are merged through a
+//! `BTreeMap`, so the collection order is canonical.
 //!
 //! With pruning enabled ([`SeparationConfig::prune_seeds`]) three
 //! sound short-circuits cut the per-call min-cut count well below `n`:
@@ -44,9 +53,8 @@
 //!   exceeds `1 + tol` is itself a violated set and is reported without
 //!   any min-cut;
 //! * **covered-seed skip** — seeds already contained in a violated set
-//!   found earlier this call are skipped. Seeds are processed in
-//!   fixed-width waves of [`SEED_CHUNK`] so the serial and parallel paths
-//!   skip exactly the same seeds.
+//!   found earlier this call are skipped. Coverage is updated once per
+//!   fixed-width wave of [`SEED_CHUNK`] seeds, not after every seed.
 //!
 //! Skipping a covered seed can suppress *additional* violated sets, never
 //! all of them: whenever a violated set exists, one within a single heavy
@@ -55,17 +63,15 @@
 //! therefore still returns a nonempty result iff the point is infeasible.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Mutex;
+use std::time::Instant;
 use wsn_graph::{components, FlowEdgeId, FlowNetwork};
 use wsn_obs::{Counter, Histogram, Registry};
-use wsn_util::parallel_map_with;
-
-/// Node count at which the per-seed min-cuts are worth fanning out.
-pub(crate) const PARALLEL_SEP_THRESHOLD: usize = 32;
 
 /// Seeds are processed in waves of this width; violated sets found by
-/// earlier waves veto covered seeds in later ones. A fixed constant keeps
-/// the serial and parallel paths output-identical.
+/// earlier waves veto covered seeds in later ones. The waves are what the
+/// covered-seed skip is defined over: skipping per seed would run fewer
+/// min-cuts but report fewer sets, and so change the cutting-plane
+/// trajectory and every counter downstream of it.
 const SEED_CHUNK: usize = 16;
 
 /// Capacity drift below which a delta sync leaves an edge untouched.
@@ -153,21 +159,21 @@ impl SeparationConfig {
 }
 
 /// Counter handles for the oracle. The owner (`CutLp`, or the free
-/// functions below) resolves these once from a metrics registry and the
-/// engine bumps them from whatever thread runs a seed — the handles are
-/// plain `Arc` atomics, so parallel workers need not inherit (or even know
-/// about) an ambient collector and final sums are schedule-independent.
+/// functions below) resolves these once from a metrics registry, so the
+/// engine bumps plain `Arc` atomics instead of looking up an ambient
+/// collector per seed.
 #[derive(Clone, Debug)]
 pub struct SepCounters {
     pub(crate) calls: Counter,
     pub(crate) min_cut_seeds: Counter,
     pub(crate) violated: Counter,
     pub(crate) seeds_pruned: Counter,
-    /// Cumulative wall time inside per-seed maxflow calls. A sum of
-    /// atomics, so it stays schedule-independent under parallel fan-out.
+    /// Cumulative wall time inside maxflow calls: every base flow plus
+    /// every seed's augment, so it covers all flow work of the oracle.
     pub(crate) maxflow_ns: Counter,
-    /// Per-seed maxflow wall time (µs) — the profiler's attribution of
-    /// oracle cost to individual seeds, not just the stage total.
+    /// Per-seed augment wall time (µs) — the profiler's attribution of
+    /// oracle cost to individual seeds, not just the stage total. The
+    /// shared base flow is in `maxflow_ns` only.
     pub(crate) maxflow_us: Histogram,
 }
 
@@ -196,35 +202,20 @@ impl SepCounters {
 /// Returns violated subtour sets (each as a sorted node list), or empty if
 /// `x` satisfies every subtour constraint within `tol`.
 ///
-/// The list is deduplicated; each returned `S` is verified to violate
-/// `x(E(S)) ≤ |S| − 1` by at least `tol` before being reported.
-pub fn violated_sets(n: usize, edges: &[FracEdge], tol: f64) -> Vec<Vec<usize>> {
-    violated_sets_with(n, edges, tol, n >= PARALLEL_SEP_THRESHOLD)
-}
-
-/// As [`violated_sets`], with explicit control over parallel fan-out of
-/// the per-seed min-cuts. Output is identical either way: every returned
-/// set is sorted, and the collection order is canonical (`BTreeMap`).
+/// The list is deduplicated and in canonical (sorted) order; each returned
+/// `S` is verified to violate `x(E(S)) ≤ |S| − 1` by at least `tol` before
+/// being reported.
 ///
 /// This is a convenience wrapper that runs a throwaway [`SeedOracle`]
 /// without seed pruning; long-lived callers (the cutting-plane loop) keep
-/// their own oracle so the scratch networks survive between calls.
-pub fn violated_sets_with(
-    n: usize,
-    edges: &[FracEdge],
-    tol: f64,
-    parallel: bool,
-) -> Vec<Vec<usize>> {
+/// their own oracle so the scratch network survives between calls.
+pub fn violated_sets(n: usize, edges: &[FracEdge], tol: f64) -> Vec<Vec<usize>> {
     let counters = SepCounters::ambient_or_detached();
     let mut oracle = SeedOracle::new();
-    oracle
-        .separate(n, edges, tol, parallel, false, &counters)
-        .into_iter()
-        .map(|vs| vs.set)
-        .collect()
+    oracle.separate(n, edges, tol, false, &counters).into_iter().map(|vs| vs.set).collect()
 }
 
-/// One reusable auxiliary network plus the edge ids needed to delta-update
+/// The reusable auxiliary network plus the edge ids needed to delta-update
 /// and query it.
 #[derive(Debug)]
 struct SeedScratch {
@@ -235,11 +226,15 @@ struct SeedScratch {
     node_snk: Vec<FlowEdgeId>,
     /// Per instance edge: undirected edge carrying `x_e / 2`.
     graph_edges: Vec<FlowEdgeId>,
-    /// Per seed `s`: `src → s` edge at 0, flipped to ∞ for one query.
+    /// Per seed `s`: `src → s` edge at 0, opened to ∞ for one query.
     seed_edges: Vec<FlowEdgeId>,
     /// The fractional point the capacities currently encode.
     last_x: Vec<f64>,
     last_w: Vec<f64>,
+    /// Value of the seedless network's maximum flow, whose residual the
+    /// network holds as its checkpoint; `None` until solved for the
+    /// current capacities.
+    base: Option<f64>,
     side: Vec<bool>,
 }
 
@@ -269,16 +264,19 @@ impl SeedScratch {
             seed_edges,
             last_x: edges.iter().map(|e| e.x).collect(),
             last_w: w.to_vec(),
+            base: None,
             side: Vec::new(),
         }
     }
 
-    /// Re-declares only the capacities that moved beyond [`CAP_EPS`].
+    /// Re-declares only the capacities that moved beyond [`CAP_EPS`]; any
+    /// re-declaration invalidates the base flow.
     fn sync(&mut self, edges: &[FracEdge], w: &[f64]) {
         for (i, e) in edges.iter().enumerate() {
             if (e.x - self.last_x[i]).abs() > CAP_EPS {
                 self.net.set_base_cap_undirected(self.graph_edges[i], (e.x / 2.0).max(0.0));
                 self.last_x[i] = e.x;
+                self.base = None;
             }
         }
         for (v, &wv) in w.iter().enumerate() {
@@ -286,68 +284,82 @@ impl SeedScratch {
                 self.net.set_base_cap(self.node_src[v], (-wv).max(0.0));
                 self.net.set_base_cap(self.node_snk[v], wv.max(0.0));
                 self.last_w[v] = wv;
+                self.base = None;
             }
         }
     }
-}
 
-/// RAII lease on a scratch network: returns it to the oracle's shared
-/// store on drop, so worker threads recycle networks across calls instead
-/// of rebuilding per thread.
-struct ScratchLease<'a> {
-    store: &'a Mutex<Vec<SeedScratch>>,
-    sc: Option<SeedScratch>,
-}
-
-impl ScratchLease<'_> {
-    fn get(&mut self) -> &mut SeedScratch {
-        self.sc.as_mut().expect("lease holds a scratch until drop")
-    }
-}
-
-// Scratches are a pure allocation cache — a panicking sibling thread cannot
-// leave one inconsistent — so every lock below recovers from poisoning
-// instead of cascading the panic.
-impl Drop for ScratchLease<'_> {
-    fn drop(&mut self) {
-        if let Some(sc) = self.sc.take() {
-            self.store.lock().unwrap_or_else(std::sync::PoisonError::into_inner).push(sc);
+    /// The seedless network's maximum flow value, solving and
+    /// checkpointing it first if the capacities moved since the last one.
+    /// The solve's wall time goes to `maxflow_ns`.
+    fn base_flow(&mut self, counters: &SepCounters) -> f64 {
+        if let Some(base) = self.base {
+            return base;
         }
+        let n = self.seed_edges.len();
+        let start = Instant::now();
+        self.net.reset();
+        let base = self.net.max_flow(n, n + 1);
+        self.net.checkpoint();
+        counters.maxflow_ns.add(start.elapsed().as_nanos() as u64);
+        self.base = Some(base);
+        base
+    }
+
+    /// Maximum flow of the network with seed `s`'s arc open. Warm-starts
+    /// from the base flow unless `cold`, which re-solves from zero (the
+    /// reference the tests compare against).
+    fn seed_flow(&mut self, s: usize, cold: bool, counters: &SepCounters) -> f64 {
+        let n = self.seed_edges.len();
+        let base = if cold {
+            self.net.reset();
+            0.0
+        } else {
+            let base = self.base_flow(counters);
+            self.net.restore();
+            base
+        };
+        self.net.set_cap(self.seed_edges[s], f64::INFINITY);
+        let start = Instant::now();
+        let augment = self.net.max_flow(n, n + 1);
+        let elapsed = start.elapsed();
+        counters.maxflow_ns.add(elapsed.as_nanos() as u64);
+        counters.maxflow_us.observe(elapsed.as_micros() as u64);
+        base + augment
     }
 }
 
-/// The stateful separation engine: a store of reusable auxiliary networks
-/// keyed to one instance topology, plus the pruned seeded-min-cut sweep.
+/// The stateful separation engine: one reusable auxiliary network keyed
+/// to one instance topology, plus the pruned seeded-min-cut sweep.
 ///
-/// Owned by `CutLp` so the networks survive across cut rounds and IRA
+/// Owned by `CutLp` so the network survives across cut rounds and IRA
 /// shrink steps; a call with a different topology retargets transparently.
 #[derive(Debug, Default)]
 pub struct SeedOracle {
     n: usize,
-    /// Edge endpoints of the instance the cached scratches were built for.
+    /// Edge endpoints of the instance the cached scratch was built for.
     sig: Vec<(usize, usize)>,
-    store: Mutex<Vec<SeedScratch>>,
+    scratch: Option<SeedScratch>,
+    /// Solve every seed from zero instead of from the base flow: the
+    /// reference the warm path is tested against.
+    #[cfg(test)]
+    cold_seeds: bool,
 }
 
 impl Clone for SeedOracle {
     fn clone(&self) -> Self {
-        // Scratches are an allocation cache, not state: clones start cold.
-        SeedOracle { n: self.n, sig: self.sig.clone(), store: Mutex::new(Vec::new()) }
+        // The scratch is an allocation cache, not state: clones start cold.
+        SeedOracle { n: self.n, sig: self.sig.clone(), ..SeedOracle::default() }
     }
 }
 
 impl SeedOracle {
-    /// Creates an engine with no cached networks.
+    /// Creates an engine with no cached network.
     pub fn new() -> Self {
         SeedOracle::default()
     }
 
-    /// Number of cached scratch networks (test/diagnostic hook).
-    pub fn cached_scratches(&self) -> usize {
-        self.store.lock().unwrap_or_else(std::sync::PoisonError::into_inner).len()
-    }
-
-    /// Drops cached scratches if the instance topology changed.
+    /// Drops the cached scratch if the instance topology changed.
     fn retarget(&mut self, n: usize, edges: &[FracEdge]) {
         let matches = self.n == n
             && self.sig.len() == edges.len()
@@ -355,24 +367,22 @@ impl SeedOracle {
         if !matches {
             self.n = n;
             self.sig = edges.iter().map(|e| (e.u, e.v)).collect();
-            self.store.lock().unwrap_or_else(std::sync::PoisonError::into_inner).clear();
+            self.scratch = None;
         }
     }
 
-    fn lease<'a>(&'a self, edges: &[FracEdge], w: &[f64]) -> ScratchLease<'a> {
-        let cached = self.store.lock().unwrap_or_else(std::sync::PoisonError::into_inner).pop();
-        let sc = match cached {
-            Some(mut sc) => {
-                sc.sync(edges, w);
-                sc
-            }
-            None => SeedScratch::build(self.n, edges, w),
-        };
-        ScratchLease { store: &self.store, sc: Some(sc) }
+    /// The cached scratch, delta-synced to the point `(edges, w)`, or a
+    /// fresh one.
+    fn synced_scratch(&mut self, edges: &[FracEdge], w: &[f64]) -> &mut SeedScratch {
+        match &mut self.scratch {
+            Some(sc) => sc.sync(edges, w),
+            None => self.scratch = Some(SeedScratch::build(self.n, edges, w)),
+        }
+        self.scratch.as_mut().expect("scratch was just synced or built")
     }
 
     /// Runs the separation oracle against the fractional point `edges`,
-    /// reusing (and delta-updating) the cached networks.
+    /// reusing (and delta-updating) the cached network.
     ///
     /// Returns every violated set found — sorted members, canonical
     /// collection order, verified violation — or empty iff `x` satisfies
@@ -385,7 +395,6 @@ impl SeedOracle {
         n: usize,
         edges: &[FracEdge],
         tol: f64,
-        parallel: bool,
         prune: bool,
         counters: &SepCounters,
     ) -> Vec<ViolatedSet> {
@@ -452,56 +461,44 @@ impl SeedOracle {
         let w: Vec<f64> = (0..n).map(|v| 1.0 - half_deg[v]).collect();
         let p_neg: f64 = w.iter().filter(|&&x| x < 0.0).sum();
 
-        let src = n;
-        let snk = n + 1;
-        let run_seed = |sc: &mut SeedScratch, s: usize| -> Option<ViolatedSet> {
+        #[cfg(test)]
+        let cold = self.cold_seeds;
+        #[cfg(not(test))]
+        let cold = false;
+        let sc = self.synced_scratch(edges, &w);
+        let mut run_seed = |s: usize| -> Option<ViolatedSet> {
             counters.min_cut_seeds.inc();
-            sc.net.reset();
-            sc.net.set_cap(sc.seed_edges[s], f64::INFINITY);
-            let flow_start = std::time::Instant::now();
-            let flow = sc.net.max_flow(src, snk);
-            let flow_elapsed = flow_start.elapsed();
-            counters.maxflow_ns.add(flow_elapsed.as_nanos() as u64);
-            counters.maxflow_us.observe(flow_elapsed.as_micros() as u64);
+            let flow = sc.seed_flow(s, cold, counters);
             let min_f = p_neg + flow - 1.0;
             if min_f >= -tol {
                 return None;
             }
             let side = &mut sc.side;
-            sc.net.min_cut_source_side_into(src, side);
-            let set: Vec<usize> = (0..n).filter(|&v| side[v]).collect();
-            if set.len() < 2 || set.len() >= n {
+            sc.net.min_cut_source_side_into(n, side);
+            let size = side[..n].iter().filter(|&&b| b).count();
+            if size < 2 || size >= n {
                 return None;
             }
-            let viol = violation(edges, &set);
-            (viol > tol).then_some(ViolatedSet { set, violation: viol })
+            // x(E(S)) summed in edge order, as `violation` does.
+            let internal: f64 = edges.iter().filter(|e| side[e.u] && side[e.v]).map(|e| e.x).sum();
+            let viol = internal - (size as f64 - 1.0);
+            (viol > tol).then(|| ViolatedSet {
+                set: (0..n).filter(|&v| side[v]).collect(),
+                violation: viol,
+            })
         };
 
-        let mut chunk = Vec::with_capacity(SEED_CHUNK);
-        for base in (0..n).step_by(SEED_CHUNK) {
-            chunk.clear();
-            for s in base..(base + SEED_CHUNK).min(n) {
+        let mut wave = Vec::with_capacity(SEED_CHUNK);
+        for first in (0..n).step_by(SEED_CHUNK) {
+            for s in first..(first + SEED_CHUNK).min(n) {
                 let skip = prune && (comp_mass[labels[s]] <= 1.0 + tol || covered[s]);
                 if skip {
                     pruned += 1;
-                } else {
-                    chunk.push(s);
+                } else if let Some(vs) = run_seed(s) {
+                    wave.push(vs);
                 }
             }
-            if chunk.is_empty() {
-                continue;
-            }
-            let wave: Vec<Option<ViolatedSet>> = if parallel && chunk.len() > 1 {
-                parallel_map_with(
-                    chunk.len(),
-                    || self.lease(edges, &w),
-                    |lease, i| run_seed(lease.get(), chunk[i]),
-                )
-            } else {
-                let mut lease = self.lease(edges, &w);
-                chunk.iter().map(|&s| run_seed(lease.get(), s)).collect()
-            };
-            for vs in wave.into_iter().flatten() {
+            for vs in wave.drain(..) {
                 for &v in &vs.set {
                     covered[v] = true;
                 }
@@ -675,7 +672,7 @@ mod tests {
         let (_obs, counters) = detached_counters();
         let edges = vec![fe(0, 1, 0.9), fe(1, 2, 0.9), fe(0, 2, 0.9), fe(0, 3, 0.3)];
         let mut oracle = SeedOracle::new();
-        let sets = oracle.separate(4, &edges, 1e-7, false, false, &counters);
+        let sets = oracle.separate(4, &edges, 1e-7, false, &counters);
         let tri = sets.iter().find(|vs| vs.set == vec![0, 1, 2]).expect("triangle separated");
         assert!((tri.violation - 0.7).abs() < 1e-9, "got {}", tri.violation);
     }
@@ -685,21 +682,23 @@ mod tests {
         let (_obs, counters) = detached_counters();
         let edges = vec![fe(0, 1, 0.9), fe(1, 2, 0.9), fe(0, 2, 0.9), fe(0, 3, 0.3)];
         let mut oracle = SeedOracle::new();
-        let first = oracle.separate(4, &edges, 1e-7, false, false, &counters);
-        assert_eq!(oracle.cached_scratches(), 1, "serial call leaves one cached network");
+        let first = oracle.separate(4, &edges, 1e-7, false, &counters);
+        assert!(oracle.scratch.is_some(), "the call leaves its network cached");
 
         // Same topology, different point: the cached network is reused via
         // delta updates and must answer exactly like a fresh oracle.
         let moved = vec![fe(0, 1, 0.75), fe(1, 2, 0.75), fe(0, 2, 0.75), fe(0, 3, 0.75)];
-        let warm = oracle.separate(4, &moved, 1e-7, false, false, &counters);
-        let fresh = SeedOracle::new().separate(4, &moved, 1e-7, false, false, &counters);
+        let warm = oracle.separate(4, &moved, 1e-7, false, &counters);
+        let fresh = SeedOracle::new().separate(4, &moved, 1e-7, false, &counters);
         assert_eq!(warm, fresh);
         assert_ne!(warm, first);
 
-        // New topology: the store retargets (old networks dropped).
-        let other = vec![fe(0, 1, 1.0), fe(1, 2, 1.0)];
-        let _ = oracle.separate(3, &other, 1e-7, false, false, &counters);
-        assert_eq!(oracle.cached_scratches(), 1);
+        // New topology: the oracle retargets (old network dropped) and
+        // answers like a fresh oracle again.
+        let other = vec![fe(0, 1, 0.9), fe(1, 2, 0.9), fe(0, 2, 0.9), fe(2, 3, 0.3)];
+        let retargeted = oracle.separate(4, &other, 1e-7, false, &counters);
+        assert!(oracle.scratch.is_some());
+        assert_eq!(retargeted, SeedOracle::new().separate(4, &other, 1e-7, false, &counters));
     }
 
     #[test]
@@ -718,7 +717,7 @@ mod tests {
             fe(4, 5, 0.8),
         ];
         let mut oracle = SeedOracle::new();
-        let sets = oracle.separate(7, &edges, 1e-7, false, true, &counters);
+        let sets = oracle.separate(7, &edges, 1e-7, true, &counters);
         assert!(sets.iter().any(|vs| vs.set == vec![0, 1, 2]));
         // Seeds 4, 5 (light component) and 6 (singleton) pruned; all seven
         // seeds fit one wave, so the four heavy-component seeds all run.
@@ -735,7 +734,7 @@ mod tests {
         // and only seed 2 runs a min-cut.
         let edges = vec![fe(0, 1, 0.6), fe(0, 1, 0.6), fe(1, 2, 0.8)];
         let mut oracle = SeedOracle::new();
-        let sets = oracle.separate(3, &edges, 1e-7, false, true, &counters);
+        let sets = oracle.separate(3, &edges, 1e-7, true, &counters);
         assert!(sets.iter().any(|vs| vs.set == vec![0, 1]));
         let pair = sets.iter().find(|vs| vs.set == vec![0, 1]).unwrap();
         assert!((pair.violation - 0.2).abs() < 1e-9);
@@ -749,7 +748,7 @@ mod tests {
         // Pair mass exactly 1.0 is tight, not violated.
         let edges = vec![fe(0, 1, 0.5), fe(0, 1, 0.5), fe(1, 2, 1.0)];
         let mut oracle = SeedOracle::new();
-        let sets = oracle.separate(3, &edges, 1e-7, false, true, &counters);
+        let sets = oracle.separate(3, &edges, 1e-7, true, &counters);
         assert!(sets.is_empty(), "tight pair must not be reported: {sets:?}");
     }
 
@@ -766,7 +765,7 @@ mod tests {
         edges.push(fe(16, 17, 0.9));
         edges.push(fe(15, 17, 0.9));
         let mut oracle = SeedOracle::new();
-        let sets = oracle.separate(18, &edges, 1e-7, false, true, &counters);
+        let sets = oracle.separate(18, &edges, 1e-7, true, &counters);
         assert!(sets.iter().any(|vs| vs.set == vec![15, 16, 17]));
         assert_eq!(obs.registry().counter("sep.seeds_pruned").get(), 2, "wave-2 seeds covered");
         assert_eq!(obs.registry().counter("sep.min_cut_seeds").get(), 16);
@@ -849,6 +848,19 @@ mod tests {
             edges.iter().all(|e| e.x <= 1.0 + 1e-9).then_some(edges)
         }
 
+        /// The oracle with every seed solved from zero (reset, then one
+        /// full max-flow) instead of from the shared base flow.
+        fn cold_reference(
+            n: usize,
+            edges: &[FracEdge],
+            tol: f64,
+            prune: bool,
+            counters: &SepCounters,
+        ) -> Vec<ViolatedSet> {
+            let mut oracle = SeedOracle { cold_seeds: true, ..SeedOracle::new() };
+            oracle.separate(n, edges, tol, prune, counters)
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(48))]
             #[test]
@@ -877,7 +889,7 @@ mod tests {
                 let Some(edges) = normalized(n, raw) else { return Ok(()) };
                 let tol = 1e-6;
                 let (_obs, counters) = detached_counters();
-                let sets = SeedOracle::new().separate(n, &edges, tol, false, true, &counters);
+                let sets = SeedOracle::new().separate(n, &edges, tol, true, &counters);
                 let brute = brute_violated(n, &edges, tol);
                 prop_assert_eq!(!sets.is_empty(), brute,
                     "pruning changed the feasibility verdict");
@@ -888,21 +900,28 @@ mod tests {
             }
 
             #[test]
-            fn parallel_separation_identical_to_serial(
-                raw in proptest::collection::vec((0usize..9, 0usize..9, 0u32..=100), 8..24)
+            fn warm_seed_flows_match_the_cold_reference(
+                raw in proptest::collection::vec(
+                    (0usize..9, 0usize..9, 0u32..=100, 0u32..=100), 8..24),
+                prune in any::<bool>(),
             ) {
                 let n = 9;
-                let Some(edges) = normalized(n, raw) else { return Ok(()) };
-                let serial = violated_sets_with(n, &edges, 1e-6, false);
-                let parallel = violated_sets_with(n, &edges, 1e-6, true);
-                prop_assert_eq!(serial, parallel);
-
-                // The pruned engine is wave-chunked precisely so this holds
-                // with pruning too.
+                let first = raw.iter().map(|&(u, v, x, _)| (u, v, x)).collect();
+                let second = raw.iter().map(|&(u, v, _, x)| (u, v, x)).collect();
+                let (Some(a), Some(b)) = (normalized(n, first), normalized(n, second)) else {
+                    return Ok(());
+                };
                 let (_obs, counters) = detached_counters();
-                let ser = SeedOracle::new().separate(n, &edges, 1e-6, false, true, &counters);
-                let par = SeedOracle::new().separate(n, &edges, 1e-6, true, true, &counters);
-                prop_assert_eq!(ser, par);
+                let tol = 1e-6;
+                let mut warm = SeedOracle::new();
+                let sets = warm.separate(n, &a, tol, prune, &counters);
+                prop_assert_eq!(&sets, &cold_reference(n, &a, tol, prune, &counters));
+
+                // Same topology, another point: the delta-synced network
+                // (and its re-solved base flow) answers like a fresh one.
+                let synced = warm.separate(n, &b, tol, prune, &counters);
+                prop_assert_eq!(&synced, &SeedOracle::new().separate(n, &b, tol, prune, &counters));
+                prop_assert_eq!(&synced, &cold_reference(n, &b, tol, prune, &counters));
             }
 
             #[test]
@@ -929,20 +948,23 @@ mod tests {
     }
 
     #[test]
-    fn parallel_path_used_above_threshold() {
-        // A big cycle: x = 1 on every edge of a 40-cycle violates the
-        // subtour bound on the full... no — S = V attains exactly 0; put
-        // the cycle on a 39-node subset and attach the last node by a
-        // fractional edge so total mass is n − 1.
+    fn forty_cycle_is_separated() {
+        // x = 1 on every edge of a 40-cycle violates the subtour bound on
+        // the full... no — S = V attains exactly 0; put the cycle on a
+        // 39-node subset and attach the last node by a fractional edge so
+        // total mass is n − 1. Forty seeds span three waves.
         let n = 40usize;
         let mut edges: Vec<FracEdge> = (0..n - 1).map(|v| fe(v, (v + 1) % (n - 1), 1.0)).collect();
         // mass so far = 39 = n − 1; steal mass from one cycle edge for the
         // attachment so the equality still holds.
         edges[0].x = 0.5;
         edges.push(fe(0, n - 1, 0.5));
-        let sets = violated_sets(n, &edges, 1e-7); // n ≥ threshold → parallel
+        let sets = violated_sets(n, &edges, 1e-7);
         let expected: Vec<usize> = (0..n - 1).collect();
         assert!(sets.iter().any(|s| s == &expected), "cycle must be separated");
-        assert_eq!(sets, violated_sets_with(n, &edges, 1e-7, false));
+        let (_obs, counters) = detached_counters();
+        let cold = SeedOracle { cold_seeds: true, ..SeedOracle::new() }
+            .separate(n, &edges, 1e-7, false, &counters);
+        assert_eq!(sets, cold.into_iter().map(|vs| vs.set).collect::<Vec<_>>());
     }
 }

@@ -23,8 +23,8 @@
 //!   and `no_leaked_workers` invariants are hard failures — a request that
 //!   hung or a worker thread that leaked is a service bug regardless of
 //!   the host. p99 and throughput compare against the baseline storm only
-//!   when both ran the same request count (a smoke run against a full
-//!   baseline skips with a note). p99 follows the wall rule; throughput
+//!   when both ran the same request count (otherwise the comparison is
+//!   skipped with a note). p99 follows the wall rule; throughput
 //!   fails at any rate once it is over 4× slower.
 //! - **History** (optional): deterministic counters that drifted above the
 //!   median of prior runs are noted, never failed.

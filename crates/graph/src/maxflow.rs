@@ -13,6 +13,9 @@ struct FlowEdge {
     cap: f64,
     /// Capacity as originally declared — [`FlowNetwork::reset`] restores it.
     cap0: f64,
+    /// Residual capacity saved by [`FlowNetwork::checkpoint`] —
+    /// [`FlowNetwork::restore`] returns to it.
+    cap_ckpt: f64,
     /// Index of the reverse edge in `edges`.
     rev: usize,
 }
@@ -27,8 +30,10 @@ pub type FlowEdgeId = usize;
 /// The network doubles as a reusable **scratch arena**: after a
 /// [`FlowNetwork::max_flow`] call consumed the capacities,
 /// [`FlowNetwork::reset`] restores them in place (no allocation), so one
-/// network can serve many flow queries — the pattern both the separation
-/// oracle and the Gomory–Hu builder rely on. All working buffers
+/// network can serve many flow queries. [`FlowNetwork::checkpoint`] /
+/// [`FlowNetwork::restore`] do the same for a saved residual instead of the
+/// declared capacities: the separation oracle solves a shared base flow
+/// once and warm-starts every seed's query from it. All working buffers
 /// (BFS level/queue, DFS cursors, cut marks) are preallocated once.
 #[derive(Clone, Debug)]
 pub struct FlowNetwork {
@@ -61,8 +66,8 @@ impl FlowNetwork {
     pub fn add_edge(&mut self, u: usize, v: usize, cap: f64) -> FlowEdgeId {
         debug_assert!(cap >= 0.0 && (cap.is_finite() || cap == f64::INFINITY));
         let e1 = self.edges.len();
-        self.edges.push(FlowEdge { to: v, cap, cap0: cap, rev: e1 + 1 });
-        self.edges.push(FlowEdge { to: u, cap: 0.0, cap0: 0.0, rev: e1 });
+        self.edges.push(FlowEdge { to: v, cap, cap0: cap, cap_ckpt: cap, rev: e1 + 1 });
+        self.edges.push(FlowEdge { to: u, cap: 0.0, cap0: 0.0, cap_ckpt: 0.0, rev: e1 });
         self.adj[u].push(e1);
         self.adj[v].push(e1 + 1);
         e1
@@ -73,8 +78,8 @@ impl FlowNetwork {
     pub fn add_undirected_edge(&mut self, u: usize, v: usize, cap: f64) -> FlowEdgeId {
         debug_assert!(cap >= 0.0);
         let e1 = self.edges.len();
-        self.edges.push(FlowEdge { to: v, cap, cap0: cap, rev: e1 + 1 });
-        self.edges.push(FlowEdge { to: u, cap, cap0: cap, rev: e1 });
+        self.edges.push(FlowEdge { to: v, cap, cap0: cap, cap_ckpt: cap, rev: e1 + 1 });
+        self.edges.push(FlowEdge { to: u, cap, cap0: cap, cap_ckpt: cap, rev: e1 });
         self.adj[u].push(e1);
         self.adj[v].push(e1 + 1);
         e1
@@ -96,6 +101,35 @@ impl FlowNetwork {
     pub fn reset(&mut self) {
         for e in &mut self.edges {
             e.cap = e.cap0;
+        }
+    }
+
+    /// Saves the current residual capacities (flow already pushed and any
+    /// [`FlowNetwork::set_cap`] overrides included) for
+    /// [`FlowNetwork::restore`]. O(edges), no allocation.
+    ///
+    /// This is the warm start of parametric max-flow: raising a source
+    /// arc's capacity never makes an existing flow infeasible, so a maximum
+    /// flow of the network with some source arcs closed is a valid starting
+    /// flow for every query that opens one of them. Augmenting from the
+    /// checkpoint yields the same flow value as a cold solve, and the same
+    /// [`FlowNetwork::min_cut_source_side`]: the nodes reachable from the
+    /// source in the residual of *any* maximum flow form the unique
+    /// inclusion-minimal minimum cut.
+    pub fn checkpoint(&mut self) {
+        for e in &mut self.edges {
+            e.cap_ckpt = e.cap;
+        }
+    }
+
+    /// Returns every edge to the residual capacity saved by the last
+    /// [`FlowNetwork::checkpoint`], undoing the flow and the
+    /// [`FlowNetwork::set_cap`] overrides applied since. A capacity
+    /// re-declared after the checkpoint is *not* preserved: checkpoint
+    /// again after [`FlowNetwork::set_base_cap`].
+    pub fn restore(&mut self) {
+        for e in &mut self.edges {
+            e.cap = e.cap_ckpt;
         }
     }
 
@@ -334,6 +368,32 @@ mod tests {
     }
 
     #[test]
+    fn restore_returns_to_the_checkpointed_residual() {
+        // Base flow with the seed arc closed, then one query that opens it.
+        let mut f = FlowNetwork::new(4);
+        f.add_edge(0, 1, 1.0);
+        let seed = f.add_edge(0, 2, 0.0);
+        f.add_edge(1, 3, 2.0);
+        f.add_edge(2, 3, 3.0);
+        let base = f.max_flow(0, 3);
+        assert!((base - 1.0).abs() < 1e-9);
+        f.checkpoint();
+        f.set_cap(seed, f64::INFINITY);
+        let augment = f.max_flow(0, 3);
+        assert!((base + augment - 4.0).abs() < 1e-9, "base {base} + augment {augment}");
+        // Restore undoes both the augment and the override: nothing more
+        // can be pushed from the checkpointed (maximum) base flow.
+        f.restore();
+        assert!(f.max_flow(0, 3) < 1e-12);
+        f.restore();
+        f.set_cap(seed, f64::INFINITY);
+        assert!((f.max_flow(0, 3) - augment).abs() < 1e-12, "queries repeat exactly");
+        // Reset still returns to the declared capacities.
+        f.reset();
+        assert!((f.max_flow(0, 3) - base).abs() < 1e-9);
+    }
+
+    #[test]
     fn set_base_cap_survives_reset() {
         let mut f = FlowNetwork::new(3);
         let a = f.add_edge(0, 1, 1.0);
@@ -445,6 +505,41 @@ mod tests {
                 let flow = f.max_flow(0, n - 1);
                 let cut = brute_min_cut(n, &dir, 0, n - 1);
                 prop_assert!((flow - cut).abs() < 1e-6, "flow {flow} vs cut {cut}");
+            }
+
+            #[test]
+            fn warm_start_from_checkpoint_matches_cold_solve(
+                edges in proptest::collection::vec((0usize..6, 0usize..6, 0u32..20), 1..15),
+                weights in proptest::collection::vec(0u32..20, 6),
+                open in 1usize..5,
+            ) {
+                // The separation-oracle shape: source arcs into every inner
+                // node, a declared-closed extra source arc, random inner
+                // arcs. The source is node 0, the sink node 5.
+                let (n, s, t) = (6, 0, 5);
+                let build = |extra: f64| {
+                    let mut f = FlowNetwork::new(n);
+                    for (v, &w) in weights.iter().enumerate().take(t).skip(1) {
+                        f.add_edge(s, v, w as f64 / 4.0);
+                    }
+                    for &(u, v, c) in &edges {
+                        if u != v {
+                            f.add_edge(u, v, c as f64 / 4.0);
+                        }
+                    }
+                    let id = f.add_edge(s, open, extra);
+                    (f, id)
+                };
+                let (mut warm, id) = build(0.0);
+                let base = warm.max_flow(s, t);
+                warm.checkpoint();
+                warm.set_cap(id, f64::INFINITY);
+                let augment = warm.max_flow(s, t);
+                let (mut cold, _) = build(f64::INFINITY);
+                let flow = cold.max_flow(s, t);
+                prop_assert!((base + augment - flow).abs() < 1e-9,
+                    "base {base} + augment {augment} vs cold {flow}");
+                prop_assert_eq!(warm.min_cut_source_side(s), cold.min_cut_source_side(s));
             }
 
             #[test]
